@@ -30,16 +30,12 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use hfl::baselines::{
-    CascadeFuzzer, DifuzzRtlFuzzer, Feedback, Fuzzer, GoldenFuzzFuzzer, InterleaveFuzzer, TestBody,
-    TheHuzzFuzzer,
-};
+use hfl::baselines::{Feedback, Fuzzer, InterleaveFuzzer, TestBody};
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, CheckpointPolicy};
 use hfl::exec::{FaultKind, FaultPlan, FaultPolicy};
-use hfl::fuzzer::{HflConfig, HflFuzzer};
 use hfl::obs::{read_jsonl, replay_rounds, Event, JsonlSink, SinkHandle};
 use hfl::poc::poc_body_for;
-use hfl::scenario::{ScenarioConfig, ScenarioFuzzer};
+use hfl::spec::FuzzerKind;
 use hfl_bench::{arg_num, arg_value};
 use hfl_dut::CoreKind;
 use hfl_nn::persist::{read_u64, write_u64, PersistError};
@@ -71,34 +67,15 @@ impl Fuzzer for SeedSweepFuzzer {
     }
 }
 
-fn wrap(mhart: bool, seed: u64, inner: impl Fuzzer + 'static) -> Box<dyn Fuzzer> {
-    if mhart {
-        Box::new(InterleaveFuzzer::new(seed, inner))
+/// The named fuzzer as every entry point builds it, wrapped for the
+/// two-hart system when `mhart` is set.
+fn make_fuzzer(name: &str, seed: u64, mhart: bool) -> Result<Box<dyn Fuzzer>, String> {
+    let fuzzer = FuzzerKind::parse(name)?.build(seed);
+    Ok(if mhart {
+        Box::new(InterleaveFuzzer::new(seed, fuzzer))
     } else {
-        Box::new(inner)
-    }
-}
-
-fn make_fuzzer(name: &str, seed: u64, mhart: bool) -> Box<dyn Fuzzer> {
-    match name {
-        "difuzz" => wrap(mhart, seed, DifuzzRtlFuzzer::new(seed, 16)),
-        "thehuzz" => wrap(mhart, seed, TheHuzzFuzzer::new(seed, 16)),
-        "cascade" => wrap(mhart, seed, CascadeFuzzer::new(seed, 60)),
-        "goldenfuzz" => wrap(mhart, seed, GoldenFuzzFuzzer::new(seed, 16)),
-        "scenario" => {
-            let mut cfg = ScenarioConfig::small().with_seed(seed);
-            cfg.generator.hidden = 16;
-            cfg.case_len = 6;
-            wrap(mhart, seed, ScenarioFuzzer::new(cfg))
-        }
-        _ => {
-            let mut cfg = HflConfig::small().with_seed(seed);
-            cfg.generator.hidden = 16;
-            cfg.predictor.hidden = 16;
-            cfg.test_len = 6;
-            wrap(mhart, seed, HflFuzzer::new(cfg))
-        }
-    }
+        fuzzer
+    })
 }
 
 fn fail(msg: &str) -> ! {
@@ -142,7 +119,8 @@ fn main() {
                 next_seed: 0,
             })
         }
-        None => make_fuzzer(&fuzzer_name, seed, mhart),
+        None => make_fuzzer(&fuzzer_name, seed, mhart)
+            .unwrap_or_else(|err| fail(&format!("--fuzzer: {err}"))),
     };
     let config = CampaignConfig::quick(cases).with_batch(batch);
     let mut builder = CampaignSpec::builder(CoreKind::Rocket, config)

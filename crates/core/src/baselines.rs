@@ -207,6 +207,14 @@ pub trait Fuzzer {
     /// order). Feedback-free fuzzers (Cascade) ignore it.
     fn feedback(&mut self, body: &TestBody, feedback: Feedback);
 
+    /// Whether this fuzzer reads [`Feedback::case_bits`]. The round engine
+    /// builds the per-point labels only when it does, so fuzzers that
+    /// ignore them pay nothing for them. The default is `true`, which keeps
+    /// a wrapper that does not forward this call feeding its inner fuzzer.
+    fn wants_case_bits(&self) -> bool {
+        true
+    }
+
     /// Gives the fuzzer a telemetry sink for learner-side events
     /// ([`crate::obs::Event::PpoUpdate`], [`crate::obs::Event::PredictorEval`]).
     /// The campaign runner calls this once before the first round. The
@@ -241,6 +249,50 @@ pub trait Fuzzer {
         Err(PersistError::Unsupported(
             "fuzzer has no checkpoint support",
         ))
+    }
+}
+
+/// A boxed fuzzer is a fuzzer, so a [`crate::spec::FuzzerKind::build`]
+/// result composes like a concrete one (e.g. under [`InterleaveFuzzer`]).
+impl<F: Fuzzer + ?Sized> Fuzzer for Box<F> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn next_case(&mut self) -> TestBody {
+        (**self).next_case()
+    }
+
+    fn next_round(&mut self, n: usize) -> Vec<TestBody> {
+        (**self).next_round(n)
+    }
+
+    fn try_next_case(&mut self) -> Result<TestBody, ComposeError> {
+        (**self).try_next_case()
+    }
+
+    fn try_next_round(&mut self, n: usize) -> Result<Vec<TestBody>, ComposeError> {
+        (**self).try_next_round(n)
+    }
+
+    fn feedback(&mut self, body: &TestBody, feedback: Feedback) {
+        (**self).feedback(body, feedback);
+    }
+
+    fn wants_case_bits(&self) -> bool {
+        (**self).wants_case_bits()
+    }
+
+    fn attach_sink(&mut self, sink: crate::obs::SinkHandle) {
+        (**self).attach_sink(sink);
+    }
+
+    fn save_state(&self, w: &mut dyn Write) -> Result<(), PersistError> {
+        (**self).save_state(w)
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> Result<(), PersistError> {
+        (**self).load_state(r)
     }
 }
 
@@ -337,6 +389,10 @@ impl Fuzzer for DifuzzRtlFuzzer {
         }
     }
 
+    fn wants_case_bits(&self) -> bool {
+        false
+    }
+
     fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {
         let w = &mut w;
         write_rng(w, &self.rng)?;
@@ -424,6 +480,10 @@ impl Fuzzer for TheHuzzFuzzer {
                 self.corpus.push(words.clone());
             }
         }
+    }
+
+    fn wants_case_bits(&self) -> bool {
+        false
     }
 
     fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {
@@ -522,6 +582,10 @@ impl Fuzzer for CascadeFuzzer {
         // Cascade is feedback-free by design.
     }
 
+    fn wants_case_bits(&self) -> bool {
+        false
+    }
+
     fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {
         let w = &mut w;
         write_rng(w, &self.rng)?;
@@ -609,6 +673,10 @@ impl Fuzzer for ChatFuzzFuzzer {
                 }
             }
         }
+    }
+
+    fn wants_case_bits(&self) -> bool {
+        false
     }
 
     fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {
@@ -764,6 +832,10 @@ impl<F: Fuzzer> Fuzzer for InterleaveFuzzer<F> {
         }
     }
 
+    fn wants_case_bits(&self) -> bool {
+        self.inner.wants_case_bits()
+    }
+
     fn attach_sink(&mut self, sink: crate::obs::SinkHandle) {
         self.inner.attach_sink(sink);
     }
@@ -905,6 +977,10 @@ impl<F: Fuzzer> Fuzzer for CascadeWrapFuzzer<F> {
         for inner_body in &group {
             self.inner.feedback(inner_body, feedback.clone());
         }
+    }
+
+    fn wants_case_bits(&self) -> bool {
+        self.inner.wants_case_bits()
     }
 
     fn attach_sink(&mut self, sink: crate::obs::SinkHandle) {
@@ -1050,6 +1126,10 @@ impl Fuzzer for GoldenFuzzFuzzer {
     fn feedback(&mut self, _body: &TestBody, _feedback: Feedback) {
         // Golden-reference-guided by design: DUT coverage never reaches
         // the generator, only the GRM's own transition statistics do.
+    }
+
+    fn wants_case_bits(&self) -> bool {
+        false
     }
 
     fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {

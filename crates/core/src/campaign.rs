@@ -1406,14 +1406,16 @@ pub(crate) fn run_round(
                 new_signature,
             });
         }
-        let case_bits = std::sync::Arc::new(result.dut.coverage.to_bit_labels());
+        let case_bits = fuzzer
+            .wants_case_bits()
+            .then(|| std::sync::Arc::new(result.dut.coverage.to_bit_labels()));
         let terminated = result.dut.halt != hfl_grm::HaltReason::StepBudget;
         fuzzer.feedback(
             body,
             Feedback {
                 gained_coverage: gained,
                 coverage,
-                case_bits: Some(case_bits),
+                case_bits,
                 terminated,
             },
         );

@@ -4,6 +4,7 @@
 
 use std::collections::VecDeque;
 
+use hfl_nn::ops::sigmoid;
 use hfl_nn::persist::{
     read_bool, read_f32, read_f32_vec, read_f64, read_u32, read_u64, read_usize, write_bool,
     write_f32, write_f32_vec, write_f64, write_u32, write_u64, write_usize, Codec, PersistError,
@@ -376,12 +377,16 @@ impl HflFuzzer {
         crate::generator::SampledAction,
     ) {
         let hidden = self.generator.advance(&mut self.session);
+        // Every candidate is drawn from the same hidden vector, so the
+        // heads run once per step, not once per candidate.
+        let logits = self.generator.head_logits(&hidden);
         let k = self.cfg.screen_candidates.max(1);
         let screening_ready = k > 1 && self.coverage_predictor.is_some() && self.stats.cases >= 32;
         if !screening_ready {
-            let (corrected, action) = self.generator.sample_with_exploration(
-                &hidden,
+            let (corrected, action) = self.generator.sample_from_logits(
+                &logits,
                 self.cfg.exploration_epsilon,
+                None,
                 &mut self.rng,
             );
             self.generator.commit(&mut self.session, &corrected);
@@ -397,9 +402,10 @@ impl HflFuzzer {
         // dedup below.
         let mut candidates = Vec::with_capacity(k);
         for _ in 0..k {
-            candidates.push(self.generator.sample_with_exploration(
-                &hidden,
+            candidates.push(self.generator.sample_from_logits(
+                &logits,
                 self.cfg.exploration_epsilon,
+                None,
                 &mut self.rng,
             ));
         }
@@ -506,42 +512,17 @@ impl HflFuzzer {
         let case = &self.body[..case_len.min(self.body.len())];
         let start = case.len().saturating_sub(window);
         let sequence = Tokens::sequence_with_bos(&case[start..]);
-        // Score the predictor against the realised bits *before* it trains
-        // on them. `predict` is a pure forward pass and the whole block is
-        // sink-gated, so telemetry never perturbs the loop's state or RNG.
-        if self.sink.enabled() {
-            if let Some(cp) = &self.coverage_predictor {
-                let probs = cp.predict(&sequence);
-                // `agree` is counted over the zipped pairs, so the
-                // denominator must be that same pair count — a mismatch
-                // here would silently deflate (or inflate) the reported
-                // accuracy.
-                assert_eq!(
-                    probs.len(),
-                    bits.len(),
-                    "predictor evaluated {} points against {} realised bits",
-                    probs.len(),
-                    bits.len()
-                );
-                let mut predicted_hits = 0u64;
-                let mut realized_hits = 0u64;
-                let mut agree = 0u64;
-                for (p, &b) in probs.iter().zip(bits) {
-                    let hit = *p > 0.5;
-                    predicted_hits += u64::from(hit);
-                    realized_hits += u64::from(b != 0);
-                    agree += u64::from(hit == (b != 0));
-                }
-                self.sink.emit(&Event::PredictorEval {
-                    case: self.stats.cases,
-                    accuracy: agree as f64 / probs.len().max(1) as f64,
-                    predicted_hits,
-                    realized_hits,
-                });
-            }
-        }
+        let (sink, case) = (&self.sink, self.stats.cases);
         if let Some(cp) = &mut self.coverage_predictor {
-            cp.train_case(&sequence, &labels, &mut self.cov_adam);
+            // Score the predictor against the realised bits on the logits
+            // of its own pre-update forward pass. The scoring is sink-gated
+            // and only reads, so telemetry never perturbs the loop's state
+            // or RNG.
+            cp.train_case_observed(&sequence, &labels, &mut self.cov_adam, |logits| {
+                if sink.enabled() {
+                    sink.emit(&predictor_eval(case, logits, bits));
+                }
+            });
         }
     }
 
@@ -750,8 +731,8 @@ impl Fuzzer for HflFuzzer {
         }
         self.consecutive_rollbacks = 0;
         let case_len = pending.undo_body_len + 1;
-        if let Some(bits) = feedback.case_bits.clone() {
-            self.train_coverage_predictor(&bits, case_len);
+        if let Some(bits) = &feedback.case_bits {
+            self.train_coverage_predictor(bits, case_len);
         }
         // Eq. (1): reward assignment. The r_bonus is granted when the test
         // case "achieves the highest hardware coverage observed so far" —
@@ -839,6 +820,30 @@ impl Fuzzer for HflFuzzer {
 
     fn load_state(&mut self, mut r: &mut dyn std::io::Read) -> Result<(), PersistError> {
         self.read_state(&mut r)
+    }
+}
+
+/// The [`Event::PredictorEval`] scoring the coverage predictor's
+/// pre-update `logits` against a case's realised coverage `bits`. A point
+/// counts as predicted when its hit probability exceeds one half.
+fn predictor_eval(case: u64, logits: &[f32], bits: &[u8]) -> Event {
+    let mut predicted_hits = 0u64;
+    let mut realized_hits = 0u64;
+    let mut agree = 0u64;
+    for (&logit, &b) in logits.iter().zip(bits) {
+        let hit = sigmoid(logit) > 0.5;
+        predicted_hits += u64::from(hit);
+        realized_hits += u64::from(b != 0);
+        agree += u64::from(hit == (b != 0));
+    }
+    // `train_case_observed` asserts one label per logit, so the zipped pair
+    // count above is the whole map: the denominator cannot deflate (or
+    // inflate) the reported accuracy.
+    Event::PredictorEval {
+        case,
+        accuracy: agree as f64 / logits.len().max(1) as f64,
+        predicted_hits,
+        realized_hits,
     }
 }
 

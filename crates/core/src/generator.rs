@@ -279,12 +279,69 @@ impl InstructionGenerator {
         epsilon: f32,
         rng: &mut R,
     ) -> (Corrected, SampledAction) {
+        self.sample_from_logits(&self.head_logits(hidden), epsilon, None, rng)
+    }
+
+    /// Samples like [`sample_with_exploration`](Self::sample_with_exploration)
+    /// but with an additive logit bias on the opcode head — the scenario
+    /// head of the hierarchical policy: the high-level controller picks a
+    /// scenario, whose bias table tilts the opcode distribution toward
+    /// that scenario's instruction classes, while the LSTM policy below is
+    /// untouched. `None` is the unbiased path. Log-probabilities are
+    /// recorded under the *biased* policy, so a PPO update sees the
+    /// distribution the action was actually drawn from.
+    pub fn sample_with_scenario_bias<R: Rng>(
+        &self,
+        hidden: &[f32],
+        epsilon: f32,
+        opcode_bias: Option<&[f32]>,
+        rng: &mut R,
+    ) -> (Corrected, SampledAction) {
+        self.sample_from_logits(&self.head_logits(hidden), epsilon, opcode_bias, rng)
+    }
+
+    /// The seven heads' logits over a hidden vector, in head order. The
+    /// heads are a pure function of `hidden`, so candidates sampled from
+    /// one hidden vector share a single evaluation.
+    #[must_use]
+    pub fn head_logits(&self, hidden: &[f32]) -> Vec<Vec<f32>> {
+        self.heads
+            .iter()
+            .map(|head| head.forward(hidden).0)
+            .collect()
+    }
+
+    /// Samples one action from precomputed [`head_logits`](Self::head_logits),
+    /// with the per-head ε-exploration floor of
+    /// [`sample_with_exploration`](Self::sample_with_exploration) and an
+    /// optional additive opcode bias (see
+    /// [`sample_with_scenario_bias`](Self::sample_with_scenario_bias)).
+    pub fn sample_from_logits<R: Rng>(
+        &self,
+        logits: &[Vec<f32>],
+        epsilon: f32,
+        opcode_bias: Option<&[f32]>,
+        rng: &mut R,
+    ) -> (Corrected, SampledAction) {
         let sizes = head_sizes();
         let mut indices = [0usize; 7];
         let mut log_probs = [0f32; 7];
-        for (k, head) in self.heads.iter().enumerate() {
-            let (logits, _) = head.forward(hidden);
-            let scaled: Vec<f32> = logits.iter().map(|&l| l / self.cfg.temperature).collect();
+        let mut biased = Vec::new();
+        for (k, head_logits) in logits.iter().enumerate() {
+            let head_logits = match opcode_bias {
+                Some(bias) if k == 0 => {
+                    biased.clone_from(head_logits);
+                    for (l, b) in biased.iter_mut().zip(bias) {
+                        *l += b;
+                    }
+                    &biased
+                }
+                _ => head_logits,
+            };
+            let scaled: Vec<f32> = head_logits
+                .iter()
+                .map(|&l| l / self.cfg.temperature)
+                .collect();
             // The opcode head has by far the largest vocabulary and is the
             // head the exploitation curse empties first (§IV-B's example:
             // `sub` crowds out `fcvt.d.lu`), so its floor is stronger.
@@ -296,56 +353,7 @@ impl InstructionGenerator {
             let idx = if head_eps > 0.0 && rng.gen::<f32>() < head_eps {
                 rng.gen_range(0..sizes[k])
             } else {
-                let probs = softmax_with_temperature(&logits, self.cfg.temperature);
-                sample_categorical(&probs, rng)
-            };
-            indices[k] = idx;
-            log_probs[k] = log_prob(&scaled, idx);
-        }
-        let outputs = HeadOutputs { indices };
-        let corrected = correct(&outputs);
-        (corrected, SampledAction { outputs, log_probs })
-    }
-
-    /// Samples like [`sample_with_exploration`](Self::sample_with_exploration)
-    /// but with an additive logit bias on the opcode head — the scenario
-    /// head of the hierarchical policy: the high-level controller picks a
-    /// scenario, whose bias table tilts the opcode distribution toward
-    /// that scenario's instruction classes, while the LSTM policy below is
-    /// untouched. `None` delegates to the unbiased path and is
-    /// bit-identical to it (same RNG consumption). Log-probabilities are
-    /// recorded under the *biased* policy, so a PPO update sees the
-    /// distribution the action was actually drawn from.
-    pub fn sample_with_scenario_bias<R: Rng>(
-        &self,
-        hidden: &[f32],
-        epsilon: f32,
-        opcode_bias: Option<&[f32]>,
-        rng: &mut R,
-    ) -> (Corrected, SampledAction) {
-        let Some(bias) = opcode_bias else {
-            return self.sample_with_exploration(hidden, epsilon, rng);
-        };
-        let sizes = head_sizes();
-        let mut indices = [0usize; 7];
-        let mut log_probs = [0f32; 7];
-        for (k, head) in self.heads.iter().enumerate() {
-            let (mut logits, _) = head.forward(hidden);
-            if k == 0 {
-                for (l, b) in logits.iter_mut().zip(bias) {
-                    *l += b;
-                }
-            }
-            let scaled: Vec<f32> = logits.iter().map(|&l| l / self.cfg.temperature).collect();
-            let head_eps = if k == 0 {
-                (3.0 * epsilon).min(0.25)
-            } else {
-                epsilon
-            };
-            let idx = if head_eps > 0.0 && rng.gen::<f32>() < head_eps {
-                rng.gen_range(0..sizes[k])
-            } else {
-                let probs = softmax_with_temperature(&logits, self.cfg.temperature);
+                let probs = softmax_with_temperature(head_logits, self.cfg.temperature);
                 sample_categorical(&probs, rng)
             };
             indices[k] = idx;

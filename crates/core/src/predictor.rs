@@ -367,6 +367,25 @@ impl CoveragePredictor {
     /// Panics if `labels.len() != self.n_points()` or the sequence is
     /// empty.
     pub fn train_case(&mut self, sequence: &[Tokens], labels: &[f32], adam: &mut Adam) -> f32 {
+        self.train_case_observed(sequence, labels, adam, |_| {})
+    }
+
+    /// [`CoveragePredictor::train_case`] that first hands the pre-update
+    /// per-point logits to `observe` — the same values
+    /// [`CoveragePredictor::predict`] would return before sigmoid, so a
+    /// caller can score the predictor against `labels` without a second
+    /// forward pass.
+    ///
+    /// # Panics
+    /// Panics if `labels.len() != self.n_points()` or the sequence is
+    /// empty.
+    pub fn train_case_observed(
+        &mut self,
+        sequence: &[Tokens],
+        labels: &[f32],
+        adam: &mut Adam,
+        observe: impl FnOnce(&[f32]),
+    ) -> f32 {
         assert_eq!(labels.len(), self.n_points());
         assert!(!sequence.is_empty());
         let xs = self.encoder.encode_batch(sequence);
@@ -374,6 +393,7 @@ impl CoveragePredictor {
         let last = trace.outputs.len() - 1;
         let h = &trace.outputs[last];
         let logits = self.out.forward(h);
+        observe(&logits);
         let (loss, dlogits) = bce_with_logits(&logits, labels);
         let dh = self.out.backward(h, &dlogits);
         let mut d_out: Vec<Vec<f32>> = trace.outputs.iter().map(|o| vec![0.0; o.len()]).collect();

@@ -368,6 +368,10 @@ impl Fuzzer for ScenarioFuzzer {
         }
     }
 
+    fn wants_case_bits(&self) -> bool {
+        false
+    }
+
     fn attach_sink(&mut self, sink: SinkHandle) {
         self.sink = sink;
     }

@@ -82,18 +82,25 @@ impl Adam {
         };
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let (decay1, decay2) = (1.0 - beta1, 1.0 - beta2);
+        // One pass over zipped slices with no loop-carried dependency, so
+        // the loop vectorises without reassociating anything: every element
+        // sees exactly the operations of the scalar update, true divisions
+        // included, and its gradient is cleared in the same pass.
         for p in params.iter_mut() {
-            for i in 0..p.data.len() {
-                let g = p.grad[i] * scale;
-                p.m[i] = self.beta1 * p.m[i] + (1.0 - self.beta1) * g;
-                p.v[i] = self.beta2 * p.v[i] + (1.0 - self.beta2) * g * g;
-                let mhat = p.m[i] / bc1;
-                let vhat = p.v[i] / bc2;
-                p.data[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            let Tensor {
+                data, grad, m, v, ..
+            } = &mut **p;
+            for (((w, g), m), v) in data.iter_mut().zip(grad.iter_mut()).zip(m).zip(v) {
+                let gs = *g * scale;
+                *g = 0.0;
+                *m = beta1 * *m + decay1 * gs;
+                *v = beta2 * *v + decay2 * gs * gs;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
-            p.zero_grad();
-            // The weights moved: any cached transposed copy is stale.
-            p.invalidate_transpose();
         }
     }
 }

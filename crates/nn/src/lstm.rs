@@ -32,7 +32,8 @@ struct CellCache {
     f: Vec<f32>,
     g: Vec<f32>,
     o: Vec<f32>,
-    c: Vec<f32>,
+    /// `tanh(c)` of the new cell state, reused by BPTT.
+    tanh_c: Vec<f32>,
 }
 
 impl LstmCell {
@@ -93,10 +94,12 @@ impl LstmCell {
             o[k] = sigmoid(z[3 * h + k]);
         }
         let mut c = vec![0.0; h];
+        let mut tanh_c = vec![0.0; h];
         let mut hout = vec![0.0; h];
         for k in 0..h {
             c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            hout[k] = o[k] * c[k].tanh();
+            tanh_c[k] = c[k].tanh();
+            hout[k] = o[k] * tanh_c[k];
         }
         let cache = CellCache {
             x: x.to_vec(),
@@ -106,7 +109,7 @@ impl LstmCell {
             f,
             g,
             o,
-            c: c.clone(),
+            tanh_c,
         };
         (hout, c, cache)
     }
@@ -184,7 +187,7 @@ impl LstmCell {
         let mut dz = vec![0.0f32; 4 * h];
         let mut dc_prev = vec![0.0f32; h];
         for k in 0..h {
-            let tc = cache.c[k].tanh();
+            let tc = cache.tanh_c[k];
             let do_ = dh[k] * tc;
             let dc = dc_next[k] + dh[k] * cache.o[k] * dtanh(tc);
             let di = dc * cache.g[k];
