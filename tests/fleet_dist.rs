@@ -110,6 +110,23 @@ fn assert_results_match(tag: &str, a: &FleetResult, b: &FleetResult) {
             ma.name
         );
     }
+    // The coordinator's accounting: counters and how often each
+    // wall-clock phase was observed (the seconds themselves vary).
+    for name in ["fleet.epochs", "fleet.cases"] {
+        assert_eq!(
+            a.metrics.counter(name),
+            b.metrics.counter(name),
+            "{tag}: {name}"
+        );
+    }
+    for name in [
+        "fleet.sync.seconds",
+        "fleet.distill.seconds",
+        "fleet.schedule.seconds",
+    ] {
+        let count = |r: &FleetResult| r.metrics.histogram(name).map(|h| h.count);
+        assert_eq!(count(a), count(b), "{tag}: {name} observations");
+    }
 }
 
 #[test]
@@ -160,6 +177,70 @@ fn a_killed_worker_respawns_and_the_stream_does_not_change() {
         "event stream diverged after a worker was killed and respawned"
     );
     assert_results_match("respawn", &reference.result, &dist.result);
+}
+
+#[test]
+fn total_worker_loss_still_snapshots_the_last_epoch_close() {
+    let dir = scratch_dir("loss");
+    let config = FleetConfig::quick(3, 12).with_batch(2);
+    let specs = vec![MemberSpec::new(FuzzerKind::Difuzz, 7, CoreKind::Rocket)];
+    let reference = run_distributed(
+        &specs,
+        |b| b,
+        config,
+        &DistConfig::default(),
+        ThreadLauncher::new(),
+    );
+    assert!(reference.result.completed);
+
+    // The only worker vanishes on epoch 1's grant and may not respawn:
+    // the fleet fails, but only after snapshotting its epoch-1 state
+    // (the periodic cadence never fires in a 3-epoch run).
+    let ring = Arc::new(RingSink::new(1_000_000));
+    let spec = FleetSpec::builder(config)
+        .sink(SinkHandle::new(ring.clone()))
+        .checkpoint(CheckpointPolicy::new(&dir, 100))
+        .build()
+        .expect("valid spec");
+    let dist = DistConfig {
+        max_respawns: 0,
+        ..DistConfig::default()
+    };
+    let mut launcher = ThreadLauncher::new().with_fault(
+        0,
+        WorkerFault {
+            die_at_epoch: Some(1),
+            ..WorkerFault::default()
+        },
+    );
+    run_fleet_dist(&specs, &spec, &dist, &mut launcher).expect_err("every worker died");
+    let mut partial = ring.events();
+    let last_close = partial
+        .iter()
+        .rposition(|e| matches!(e, Event::EpochEnd { .. }))
+        .expect("epoch 0 closed before the loss");
+    assert!(
+        matches!(partial[last_close], Event::EpochEnd { epoch: 0, .. }),
+        "the loss came on epoch 1's grant"
+    );
+    partial.truncate(last_close + 1);
+
+    let snapshot = CheckpointPolicy::latest_fleet_snapshot(&dir).expect("final snapshot written");
+    let resumed = run_distributed(
+        &specs,
+        |b| b.resume_from(snapshot),
+        config,
+        &DistConfig::default(),
+        ThreadLauncher::new(),
+    );
+    assert!(resumed.result.completed);
+    partial.extend(resumed.events.iter().cloned());
+    assert_eq!(reference.events, partial, "spliced stream diverged");
+    assert_eq!(
+        reference.result.merged_curve, resumed.result.merged_curve,
+        "merged curve diverged"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
