@@ -1,11 +1,13 @@
 //! The shared control surface of a running campaign or fleet.
 //!
 //! A [`StopHandle`] is a cloneable handle an operator (or the
-//! `hfl-serve` daemon) holds while [`crate::campaign::run_campaign`] /
-//! [`crate::fleet::run_fleet`] executes on another thread. It carries two
-//! level-triggered requests, both honoured at the next round (campaign)
-//! or epoch (fleet) boundary — the only points where every fuzzer's
-//! pending queues are empty and a snapshot is bit-identically resumable:
+//! `hfl-serve` daemon) holds while [`crate::campaign::run_campaign`] or
+//! a fleet ([`crate::fleet::run_fleet`], or
+//! [`crate::fleet_dist::run_fleet_dist`], which `hfl-serve` runs fleets
+//! through) executes on another thread. It carries two level-triggered
+//! requests, both honoured at the next round (campaign) or epoch (fleet)
+//! boundary — the only points where every fuzzer's pending queues are
+//! empty and a snapshot is bit-identically resumable:
 //!
 //! - **stop**: finish the current round/epoch, write a final checkpoint
 //!   (when a [`crate::campaign::CheckpointPolicy`] is attached) and
