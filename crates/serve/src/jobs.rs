@@ -29,7 +29,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use hfl::baselines::Fuzzer;
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, CheckpointPolicy};
 use hfl::fleet::{FleetConfig, FleetSpec};
 use hfl::fleet_dist::{
@@ -37,7 +36,6 @@ use hfl::fleet_dist::{
 };
 use hfl::json::{Fields, ObjectWriter};
 use hfl::obs::{Event, EventSink, JsonlSink, SinkHandle};
-use hfl::spec::FuzzerKind;
 use hfl::StopHandle;
 
 use crate::hub::EventHub;
@@ -59,14 +57,6 @@ pub const DEFAULT_HUB_CAPACITY: usize = 64 * 1024;
 /// matches, `kind()`, `to_json()` and `from_json()` all resolve to the
 /// shared type — the service adds no spec dialect of its own.
 pub type JobSpec = RunRequest;
-
-/// The fuzzer-construction convention shared with the bench binaries
-/// (small models sized for CI) — a thin wrapper over
-/// [`FuzzerKind::parse`] + [`FuzzerKind::build`], kept for callers that
-/// hold the strategy as a string.
-pub fn make_fuzzer(name: &str, seed: u64) -> Result<Box<dyn Fuzzer>, String> {
-    Ok(FuzzerKind::parse(name)?.build(seed))
-}
 
 /// Lifecycle of a job. Linear except that queued jobs can be cancelled
 /// directly and any non-terminal job becomes `Interrupted` by a drain.
@@ -648,6 +638,7 @@ fn run_job(
 mod tests {
     use super::*;
     use hfl::campaign::RunConfig;
+    use hfl::spec::FuzzerKind;
     use hfl_dut::CoreKind;
 
     #[test]

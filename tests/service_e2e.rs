@@ -21,9 +21,9 @@ use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, RunConfig};
 use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetSpec};
 use hfl::json::Fields;
 use hfl::obs::JsonlSink;
+use hfl::spec::{FuzzerKind, MemberSpec};
 use hfl::SinkHandle;
 use hfl_dut::CoreKind;
-use hfl_serve::jobs::make_fuzzer;
 use hfl_serve::{http_request, spawn, DaemonConfig, SseParser};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -142,7 +142,7 @@ fn offline_campaign(dir: &Path, fuzzer: &str, seed: u64, cases: u64, batch: usiz
         .sink(sink)
         .build()
         .expect("spec");
-    let mut f = make_fuzzer(fuzzer, seed).expect("fuzzer");
+    let mut f = FuzzerKind::parse(fuzzer).expect("fuzzer").build(seed);
     run_campaign(f.as_mut(), &spec).expect("offline campaign");
     non_timing(&std::fs::read_to_string(&log).expect("offline log"))
 }
@@ -166,11 +166,8 @@ fn offline_fleet(
     let mut fleet: Vec<FleetMember> = members
         .iter()
         .map(|(name, seed)| {
-            FleetMember::new(
-                format!("{name}-{seed}"),
-                CoreKind::Rocket,
-                make_fuzzer(name, *seed).expect("fuzzer"),
-            )
+            let kind = FuzzerKind::parse(name).expect("fuzzer");
+            MemberSpec::new(kind, *seed, CoreKind::Rocket).build_member()
         })
         .collect();
     run_fleet(&mut fleet, &spec).expect("offline fleet");
