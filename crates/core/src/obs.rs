@@ -1263,6 +1263,7 @@ pub fn replay_fleet(events: &[Event]) -> FleetReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Fields;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -1424,6 +1425,94 @@ mod tests {
             r#"{"type":"round_start","round":oops,"planned":1}"#,
         ] {
             assert!(Event::from_json(bad).is_none(), "{bad:?}");
+        }
+    }
+
+    /// Re-encodes `line` without the field `key` (byte-identical to `line`
+    /// when `key` is absent).
+    fn without_key(line: &str, key: &str) -> String {
+        let fields = Fields::parse(line).expect("well-formed line");
+        let mut w = ObjectWriter::new();
+        for (k, v) in fields.0.iter().filter(|(k, _)| k != key) {
+            match v {
+                JsonValue::Null => w.hex_opt(k, None),
+                JsonValue::Bool(b) => w.bool(k, *b),
+                JsonValue::Num(raw) => match raw.parse() {
+                    Ok(int) => w.num(k, int),
+                    Err(_) => w.float(k, raw.parse().expect("number token")),
+                },
+                JsonValue::Str(s) => w.str(k, s),
+            }
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn reader_rejects_mistyped_and_incomplete_lines() {
+        for bad in [
+            // `new_signature` is required (only `sched_seed` may be absent).
+            r#"{"type":"case_executed","round":0,"case":1,"body_len":3,"gained_bits":17,"retired":3,"mismatches":1}"#,
+            r#"{"type":"case_executed","round":0,"case":1,"body_len":3,"gained_bits":17,"retired":3,"mismatches":1,"new_signature":"zz"}"#,
+            r#"{"type":"case_executed","round":0,"case":1,"body_len":3,"gained_bits":17,"retired":3,"mismatches":1,"new_signature":5}"#,
+            r#"{"type":"round_start","round":-1,"planned":1}"#,
+            r#"{"type":"round_start","round":1.5,"planned":1}"#,
+            r#"{"round":0,"planned":1}"#,
+            r#"{"type":"scenario_stats","case":2,"scenario":7,"pulls":7,"mean_reward":0.25}"#,
+            r#"{"type":"minimize_step","executions":5,"from_len":9,"to_len":5,"sched_seed":"xyz"}"#,
+            r#"{"type":"minimize_step","executions":5,"from_len":9,"to_len":5,"sched_seed":165}"#,
+        ] {
+            assert!(Event::from_json(bad).is_none(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn reader_tolerates_old_logs_extra_keys_and_integer_floats() {
+        let cases = [
+            (
+                r#"{"type":"minimize_step","executions":5,"from_len":9,"to_len":5}"#,
+                Event::MinimizeStep {
+                    executions: 5,
+                    from_len: 9,
+                    to_len: 5,
+                    sched_seed: None,
+                },
+            ),
+            (
+                r#"{"type":"round_start","round":1,"planned":2,"extra":"x","more":3}"#,
+                Event::RoundStart {
+                    round: 1,
+                    planned: 2,
+                },
+            ),
+            (
+                r#"{"type":"predictor_eval","case":2,"accuracy":1,"predicted_hits":12,"realized_hits":14}"#,
+                Event::PredictorEval {
+                    case: 2,
+                    accuracy: 1.0,
+                    predicted_hits: 12,
+                    realized_hits: 14,
+                },
+            ),
+        ];
+        for (line, event) in cases {
+            assert_eq!(Event::from_json(line), Some(event), "{line}");
+        }
+    }
+
+    #[test]
+    fn dropping_any_required_key_is_rejected() {
+        for event in sample_events() {
+            let line = event.to_json();
+            assert_eq!(without_key(&line, "no_such_key"), line);
+            for (key, _) in &Fields::parse(&line).expect("well-formed line").0 {
+                let cut = without_key(&line, key);
+                match (key.as_str(), Event::from_json(&cut)) {
+                    ("sched_seed", Some(Event::MinimizeStep { sched_seed, .. })) => {
+                        assert_eq!(sched_seed, None, "{cut}");
+                    }
+                    (_, parsed) => assert_eq!(parsed, None, "{cut}"),
+                }
+            }
         }
     }
 
