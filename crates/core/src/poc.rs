@@ -176,7 +176,7 @@ pub fn poc_for(bug_id: &str) -> Vec<Instruction> {
     }
 }
 
-/// The directed PoC as a ready-to-run [`TestBody`].
+/// The directed PoC as a ready-to-run [`TestBody`](crate::baselines::TestBody).
 ///
 /// `sched_seed` is meaningful **only for concurrency bugs** (catalogue
 /// entries with `concurrency: true`), whose PoC is a `Mhart`

@@ -35,7 +35,7 @@ pub struct CsrFile {
     pub mip: u64,
     /// `mcounteren`.
     pub mcounteren: u64,
-    /// `fcsr` (fflags in [4:0], frm in [7:5]).
+    /// `fcsr` (fflags in `[4:0]`, frm in `[7:5]`).
     pub fcsr: u64,
     /// Physical memory protection state.
     pub pmp: Pmp,

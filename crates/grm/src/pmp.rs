@@ -17,7 +17,7 @@ pub enum AccessKind {
     Store,
 }
 
-/// Address-matching mode of a PMP entry (cfg bits [4:3]).
+/// Address-matching mode of a PMP entry (cfg bits `[4:3]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PmpMode {
     /// Entry disabled.

@@ -122,7 +122,7 @@ impl LstmCell {
     /// non-linearities. Writes each continuation's hidden/cell vectors as
     /// consecutive chunks of `h_out`/`c_out` (cleared and resized).
     ///
-    /// Bit-identical to `batch` separate [`LstmCell::forward`] calls: every
+    /// Bit-identical to `batch` separate `LstmCell::forward` calls: every
     /// output element accumulates in the same order.
     ///
     /// # Panics

@@ -127,7 +127,7 @@ impl Csr {
     }
 
     /// The minimum privilege level (0 = U, 1 = S, 3 = M) needed to access
-    /// this CSR, from address bits [9:8].
+    /// this CSR, from address bits `[9:8]`.
     #[must_use]
     pub fn min_privilege(self) -> u8 {
         ((self.0 >> 8) & 0b11) as u8

@@ -9,7 +9,7 @@
 //!   extension, Zicsr, privileged instructions and common pseudo-instructions
 //!   (the paper's generator head predicts over this vocabulary),
 //! - [`Instruction`]: a decoded/constructed instruction with operands,
-//! - binary [`Instruction::encode`]/[`decode`] round-tripping,
+//! - binary [`Instruction::encode`]/[`decode()`] round-tripping,
 //! - assembly-text formatting ([`core::fmt::Display`] on [`Instruction`]),
 //! - immediate legalisation and the generator-facing vocabularies used by the
 //!   multi-head LSTM ([`vocab`]).

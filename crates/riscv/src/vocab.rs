@@ -3,9 +3,9 @@
 //! The multi-head LSTM generator emits *indices*; this module defines what
 //! those indices mean. The opcode head indexes [`crate::Opcode::ALL`], the
 //! register heads index the 32 registers directly, the immediate head
-//! indexes [`crate::imm::IMM_VOCAB`], and the address head indexes
-//! [`ADDR_VOCAB`] (CSR addresses and control-flow offsets, per the paper's
-//! examples `csrw 0x453, ra`).
+//! indexes [`crate::imm::IMM_VOCAB`], and the address head indexes the
+//! [`ADDR_VOCAB_LEN`] entries of [`addr_from_index`] (CSR addresses and
+//! control-flow offsets, per the paper's examples `csrw 0x453, ra`).
 
 use crate::csr::Csr;
 
