@@ -172,7 +172,7 @@ impl JsonValue {
 
 /// Escapes `value` for inclusion in a JSON string literal (quotes,
 /// backslashes, and control characters; everything else passes through).
-pub fn escape_json_into(buf: &mut String, value: &str) {
+fn escape_json_into(buf: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '"' => buf.push_str("\\\""),
@@ -229,8 +229,7 @@ fn scan_json_string(s: &str) -> Option<(String, &str)> {
 /// Parses a single-level JSON object with string/number/bool/null values
 /// (nested containers are not part of any schema here). Returns the
 /// fields in document order; `None` if the line is not such an object.
-#[must_use]
-pub fn parse_object(line: &str) -> Option<Vec<(String, JsonValue)>> {
+fn parse_object(line: &str) -> Option<Vec<(String, JsonValue)>> {
     let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut fields = Vec::new();
     let mut rest = body.trim();

@@ -35,7 +35,9 @@
 //! Signatures are serialised as 16-digit hex strings (full 64-bit
 //! precision survives any JSON reader); all other numbers fit in an f64
 //! mantissa. [`read_jsonl`] and [`Event::from_json`] parse the format
-//! back without external dependencies.
+//! back without external dependencies. One declaration of the schema
+//! generates both [`Event::to_json`] and [`Event::from_json`], so the
+//! writer and the reader cannot drift.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -46,8 +48,140 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::json::{parse_object, JsonValue, ObjectWriter};
+use crate::json::{Fields, JsonValue, ObjectWriter};
 
+/// How one event field type writes and reads its JSON value.
+trait JsonField: Sized {
+    fn encode(&self, w: &mut ObjectWriter, key: &str);
+    /// `None` when `value` is not of this field's JSON type.
+    fn decode(value: &JsonValue) -> Option<Self>;
+}
+
+impl JsonField for u64 {
+    fn encode(&self, w: &mut ObjectWriter, key: &str) {
+        w.num(key, *self);
+    }
+    fn decode(value: &JsonValue) -> Option<u64> {
+        value.as_u64()
+    }
+}
+
+impl JsonField for f64 {
+    fn encode(&self, w: &mut ObjectWriter, key: &str) {
+        w.float(key, *self);
+    }
+    fn decode(value: &JsonValue) -> Option<f64> {
+        value.as_f64()
+    }
+}
+
+impl JsonField for String {
+    fn encode(&self, w: &mut ObjectWriter, key: &str) {
+        w.str(key, self);
+    }
+    fn decode(value: &JsonValue) -> Option<String> {
+        value.as_str().map(str::to_owned)
+    }
+}
+
+/// Signatures and seeds: a 16-digit hex string or `null`.
+impl JsonField for Option<u64> {
+    fn encode(&self, w: &mut ObjectWriter, key: &str) {
+        w.hex_opt(key, *self);
+    }
+    fn decode(value: &JsonValue) -> Option<Option<u64>> {
+        match value {
+            JsonValue::Null => Some(None),
+            v => u64::from_str_radix(v.as_str()?, 16).ok().map(Some),
+        }
+    }
+}
+
+/// Declares [`Event`] once — each variant with its `"type"` tag and its
+/// fields in JSON order — and generates the enum, [`Event::kind`],
+/// [`Event::to_json`] and [`Event::from_json`] from that one list, so the
+/// writer and the reader cannot drift. Every field is required on read
+/// unless declared `name: T = default`, which reads as `default` when the
+/// key is absent.
+macro_rules! event_schema {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$meta:meta])*
+                $variant:ident = $tag:literal {
+                    $(
+                        $(#[$field_meta:meta])*
+                        $field:ident: $ty:ty $(= $absent:expr)?
+                    ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$enum_meta])*
+        pub enum Event {
+            $(
+                $(#[$meta])*
+                $variant {
+                    $(
+                        $(#[$field_meta])*
+                        $field: $ty,
+                    )*
+                },
+            )*
+        }
+
+        impl Event {
+            /// The JSONL `"type"` discriminant.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Serialises the event as one flat JSON object (no trailing newline).
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                let mut w = ObjectWriter::with_type(self.kind());
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        $(JsonField::encode($field, &mut w, stringify!($field));)*
+                    })*
+                }
+                w.finish()
+            }
+
+            /// Parses one JSONL line back into an event; `None` if the line is
+            /// not a well-formed event object of a known type.
+            #[must_use]
+            pub fn from_json(line: &str) -> Option<Event> {
+                let fields = Fields::parse(line)?;
+                match fields.str("type")? {
+                    $($tag => Some(Event::$variant {
+                        $($field: event_schema!(@read fields, $field, $ty $(, $absent)?),)*
+                    }),)*
+                    _ => None,
+                }
+            }
+        }
+
+        /// Every declared `"type"` tag.
+        #[cfg(test)]
+        const EVENT_KINDS: &[&str] = &[$($tag),*];
+    };
+    (@read $fields:ident, $field:ident, $ty:ty) => {
+        <$ty as JsonField>::decode($fields.get(stringify!($field))?)?
+    };
+    (@read $fields:ident, $field:ident, $ty:ty, $absent:expr) => {
+        match $fields.get(stringify!($field)) {
+            Some(value) => <$ty as JsonField>::decode(value)?,
+            None => $absent,
+        }
+    };
+}
+
+event_schema! {
 /// One structured telemetry event.
 ///
 /// Variants carry round/case indices as identity (see the module docs'
@@ -57,14 +191,14 @@ use crate::json::{parse_object, JsonValue, ObjectWriter};
 pub enum Event {
     /// A campaign round began: the fuzzer is about to generate `planned`
     /// cases for one pool batch.
-    RoundStart {
+    RoundStart = "round_start" {
         /// Round index (0-based).
         round: u64,
         /// Cases requested from the fuzzer for this round.
         planned: u64,
     },
     /// A campaign round finished (all feedback applied).
-    RoundEnd {
+    RoundEnd = "round_end" {
         /// Round index (0-based).
         round: u64,
         /// Total cases executed so far (cumulative).
@@ -79,7 +213,7 @@ pub enum Event {
         unique_signatures: u64,
     },
     /// One test case ran on the DUT/GRM pair.
-    CaseExecuted {
+    CaseExecuted = "case_executed" {
         /// Round the case belonged to.
         round: u64,
         /// Case index (1-based, campaign-wide).
@@ -96,7 +230,7 @@ pub enum Event {
         new_signature: Option<u64>,
     },
     /// The generator completed a PPO update.
-    PpoUpdate {
+    PpoUpdate = "ppo_update" {
         /// Case index at the time of the update.
         case: u64,
         /// Completed episodes so far.
@@ -112,7 +246,7 @@ pub enum Event {
         reward_mean: f64,
     },
     /// The coverage predictor was scored against realised coverage.
-    PredictorEval {
+    PredictorEval = "predictor_eval" {
         /// Case index the evaluation used.
         case: u64,
         /// Fraction of coverage points where `p > 0.5` matched the
@@ -128,7 +262,7 @@ pub enum Event {
     /// deterministic case-count checkpoint. The controller emits one row
     /// per scenario, so consecutive rows with the same `case` form the
     /// full per-scenario table.
-    ScenarioStats {
+    ScenarioStats = "scenario_stats" {
         /// Case index at the time of the snapshot.
         case: u64,
         /// The scenario arm's canonical name.
@@ -139,7 +273,7 @@ pub enum Event {
         mean_reward: f64,
     },
     /// Triage minimisation accepted one reduction.
-    MinimizeStep {
+    MinimizeStep = "minimize_step" {
         /// Differential-test executions spent so far.
         executions: u64,
         /// Body length before the reduction.
@@ -148,14 +282,15 @@ pub enum Event {
         to_len: u64,
         /// Interleaving seed held fixed during minimisation (multi-hart
         /// cases only): the minimised body reproduces only under this
-        /// schedule, so the PoC record must carry it.
-        sched_seed: Option<u64>,
+        /// schedule, so the PoC record must carry it. Absent in logs
+        /// written before multi-hart support, which read as `None`.
+        sched_seed: Option<u64> = None,
     },
     /// A case was abandoned by fault containment: every attempt panicked
     /// (`reason` is the final panic message) or exceeded the fuel budget
     /// (`reason` is `"timeout"`). Deterministic: carries indices and the
     /// attempt count, never wall clock.
-    CaseAborted {
+    CaseAborted = "case_aborted" {
         /// Round the case belonged to.
         round: u64,
         /// Case index (1-based, campaign-wide).
@@ -167,7 +302,7 @@ pub enum Event {
     },
     /// Pool utilisation for one executed batch (wall-clock: excluded from
     /// determinism comparisons).
-    PoolOccupancy {
+    PoolOccupancy = "pool_occupancy" {
         /// Round the batch belonged to.
         round: u64,
         /// Worker threads in the pool.
@@ -181,7 +316,7 @@ pub enum Event {
     },
     /// A fleet epoch began: every member is about to run its slice of the
     /// epoch's case budget.
-    EpochStart {
+    EpochStart = "epoch_start" {
         /// Epoch index (0-based).
         epoch: u64,
         /// Member campaigns in the fleet.
@@ -190,7 +325,7 @@ pub enum Event {
         planned: u64,
     },
     /// One member finished its slice of an epoch.
-    MemberProgress {
+    MemberProgress = "member_progress" {
         /// Epoch index (0-based).
         epoch: u64,
         /// Member index (0-based, fleet-wide).
@@ -209,7 +344,7 @@ pub enum Event {
     /// The shared corpus absorbed an epoch's harvest and was distilled.
     /// All counts are this epoch's deltas except the distillation sizes,
     /// which are absolute entry counts.
-    CorpusSync {
+    CorpusSync = "corpus_sync" {
         /// Epoch index (0-based).
         epoch: u64,
         /// Cases accepted into the shared corpus this epoch.
@@ -224,7 +359,7 @@ pub enum Event {
         distilled_to: u64,
     },
     /// The scheduler granted one member its next-epoch case budget.
-    BudgetRealloc {
+    BudgetRealloc = "budget_realloc" {
         /// Epoch the decision was made in (0-based; the budget applies to
         /// `epoch + 1`).
         epoch: u64,
@@ -238,7 +373,7 @@ pub enum Event {
     },
     /// A fleet epoch finished: corpus synced, budgets reallocated, merged
     /// coverage sampled.
-    EpochEnd {
+    EpochEnd = "epoch_end" {
         /// Epoch index (0-based).
         epoch: u64,
         /// Total cases executed fleet-wide so far (cumulative).
@@ -254,6 +389,7 @@ pub enum Event {
         unique_signatures: u64,
     },
 }
+}
 
 impl Event {
     /// Whether the event carries wall-clock-derived values and must be
@@ -261,327 +397,6 @@ impl Event {
     #[must_use]
     pub fn is_timing(&self) -> bool {
         matches!(self, Event::PoolOccupancy { .. })
-    }
-
-    /// The JSONL `"type"` discriminant.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RoundStart { .. } => "round_start",
-            Event::RoundEnd { .. } => "round_end",
-            Event::CaseExecuted { .. } => "case_executed",
-            Event::PpoUpdate { .. } => "ppo_update",
-            Event::PredictorEval { .. } => "predictor_eval",
-            Event::ScenarioStats { .. } => "scenario_stats",
-            Event::MinimizeStep { .. } => "minimize_step",
-            Event::CaseAborted { .. } => "case_aborted",
-            Event::PoolOccupancy { .. } => "pool_occupancy",
-            Event::EpochStart { .. } => "epoch_start",
-            Event::MemberProgress { .. } => "member_progress",
-            Event::CorpusSync { .. } => "corpus_sync",
-            Event::BudgetRealloc { .. } => "budget_realloc",
-            Event::EpochEnd { .. } => "epoch_end",
-        }
-    }
-
-    /// Serialises the event as one flat JSON object (no trailing newline).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut w = ObjectWriter::with_type(self.kind());
-        match self {
-            Event::RoundStart { round, planned } => {
-                w.num("round", *round);
-                w.num("planned", *planned);
-            }
-            Event::RoundEnd {
-                round,
-                executed,
-                condition,
-                line,
-                fsm,
-                unique_signatures,
-            } => {
-                w.num("round", *round);
-                w.num("executed", *executed);
-                w.num("condition", *condition);
-                w.num("line", *line);
-                w.num("fsm", *fsm);
-                w.num("unique_signatures", *unique_signatures);
-            }
-            Event::CaseExecuted {
-                round,
-                case,
-                body_len,
-                gained_bits,
-                retired,
-                mismatches,
-                new_signature,
-            } => {
-                w.num("round", *round);
-                w.num("case", *case);
-                w.num("body_len", *body_len);
-                w.num("gained_bits", *gained_bits);
-                w.num("retired", *retired);
-                w.num("mismatches", *mismatches);
-                w.hex_opt("new_signature", *new_signature);
-            }
-            Event::PpoUpdate {
-                case,
-                episode,
-                mean_ratio,
-                approx_kl,
-                td_loss,
-                reward_mean,
-            } => {
-                w.num("case", *case);
-                w.num("episode", *episode);
-                w.float("mean_ratio", *mean_ratio);
-                w.float("approx_kl", *approx_kl);
-                w.float("td_loss", *td_loss);
-                w.float("reward_mean", *reward_mean);
-            }
-            Event::PredictorEval {
-                case,
-                accuracy,
-                predicted_hits,
-                realized_hits,
-            } => {
-                w.num("case", *case);
-                w.float("accuracy", *accuracy);
-                w.num("predicted_hits", *predicted_hits);
-                w.num("realized_hits", *realized_hits);
-            }
-            Event::ScenarioStats {
-                case,
-                scenario,
-                pulls,
-                mean_reward,
-            } => {
-                w.num("case", *case);
-                w.str("scenario", scenario);
-                w.num("pulls", *pulls);
-                w.float("mean_reward", *mean_reward);
-            }
-            Event::MinimizeStep {
-                executions,
-                from_len,
-                to_len,
-                sched_seed,
-            } => {
-                w.num("executions", *executions);
-                w.num("from_len", *from_len);
-                w.num("to_len", *to_len);
-                w.hex_opt("sched_seed", *sched_seed);
-            }
-            Event::CaseAborted {
-                round,
-                case,
-                reason,
-                attempts,
-            } => {
-                w.num("round", *round);
-                w.num("case", *case);
-                w.str("reason", reason);
-                w.num("attempts", *attempts);
-            }
-            Event::PoolOccupancy {
-                round,
-                threads,
-                occupancy,
-                exec_seconds,
-                busy_seconds,
-            } => {
-                w.num("round", *round);
-                w.num("threads", *threads);
-                w.float("occupancy", *occupancy);
-                w.float("exec_seconds", *exec_seconds);
-                w.float("busy_seconds", *busy_seconds);
-            }
-            Event::EpochStart {
-                epoch,
-                members,
-                planned,
-            } => {
-                w.num("epoch", *epoch);
-                w.num("members", *members);
-                w.num("planned", *planned);
-            }
-            Event::MemberProgress {
-                epoch,
-                member,
-                executed,
-                condition,
-                line,
-                fsm,
-                unique_signatures,
-            } => {
-                w.num("epoch", *epoch);
-                w.num("member", *member);
-                w.num("executed", *executed);
-                w.num("condition", *condition);
-                w.num("line", *line);
-                w.num("fsm", *fsm);
-                w.num("unique_signatures", *unique_signatures);
-            }
-            Event::CorpusSync {
-                epoch,
-                inserted,
-                duplicates,
-                evicted,
-                distilled_from,
-                distilled_to,
-            } => {
-                w.num("epoch", *epoch);
-                w.num("inserted", *inserted);
-                w.num("duplicates", *duplicates);
-                w.num("evicted", *evicted);
-                w.num("distilled_from", *distilled_from);
-                w.num("distilled_to", *distilled_to);
-            }
-            Event::BudgetRealloc {
-                epoch,
-                member,
-                cases,
-                rate_milli,
-            } => {
-                w.num("epoch", *epoch);
-                w.num("member", *member);
-                w.num("cases", *cases);
-                w.num("rate_milli", *rate_milli);
-            }
-            Event::EpochEnd {
-                epoch,
-                executed,
-                condition,
-                line,
-                fsm,
-                unique_signatures,
-            } => {
-                w.num("epoch", *epoch);
-                w.num("executed", *executed);
-                w.num("condition", *condition);
-                w.num("line", *line);
-                w.num("fsm", *fsm);
-                w.num("unique_signatures", *unique_signatures);
-            }
-        }
-        w.finish()
-    }
-
-    /// Parses one JSONL line back into an event; `None` if the line is
-    /// not a well-formed event object of a known type.
-    #[must_use]
-    pub fn from_json(line: &str) -> Option<Event> {
-        let fields = parse_object(line)?;
-        let f = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let u = |name: &str| f(name).and_then(JsonValue::as_u64);
-        let x = |name: &str| f(name).and_then(JsonValue::as_f64);
-        match f("type")?.as_str()? {
-            "round_start" => Some(Event::RoundStart {
-                round: u("round")?,
-                planned: u("planned")?,
-            }),
-            "round_end" => Some(Event::RoundEnd {
-                round: u("round")?,
-                executed: u("executed")?,
-                condition: u("condition")?,
-                line: u("line")?,
-                fsm: u("fsm")?,
-                unique_signatures: u("unique_signatures")?,
-            }),
-            "case_executed" => Some(Event::CaseExecuted {
-                round: u("round")?,
-                case: u("case")?,
-                body_len: u("body_len")?,
-                gained_bits: u("gained_bits")?,
-                retired: u("retired")?,
-                mismatches: u("mismatches")?,
-                new_signature: match f("new_signature")? {
-                    JsonValue::Null => None,
-                    v => Some(u64::from_str_radix(v.as_str()?, 16).ok()?),
-                },
-            }),
-            "ppo_update" => Some(Event::PpoUpdate {
-                case: u("case")?,
-                episode: u("episode")?,
-                mean_ratio: x("mean_ratio")?,
-                approx_kl: x("approx_kl")?,
-                td_loss: x("td_loss")?,
-                reward_mean: x("reward_mean")?,
-            }),
-            "predictor_eval" => Some(Event::PredictorEval {
-                case: u("case")?,
-                accuracy: x("accuracy")?,
-                predicted_hits: u("predicted_hits")?,
-                realized_hits: u("realized_hits")?,
-            }),
-            "scenario_stats" => Some(Event::ScenarioStats {
-                case: u("case")?,
-                scenario: f("scenario")?.as_str()?.to_owned(),
-                pulls: u("pulls")?,
-                mean_reward: x("mean_reward")?,
-            }),
-            "minimize_step" => Some(Event::MinimizeStep {
-                executions: u("executions")?,
-                from_len: u("from_len")?,
-                to_len: u("to_len")?,
-                // Absent in logs written before multi-hart support.
-                sched_seed: match f("sched_seed") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(v) => Some(u64::from_str_radix(v.as_str()?, 16).ok()?),
-                },
-            }),
-            "case_aborted" => Some(Event::CaseAborted {
-                round: u("round")?,
-                case: u("case")?,
-                reason: f("reason")?.as_str()?.to_owned(),
-                attempts: u("attempts")?,
-            }),
-            "pool_occupancy" => Some(Event::PoolOccupancy {
-                round: u("round")?,
-                threads: u("threads")?,
-                occupancy: x("occupancy")?,
-                exec_seconds: x("exec_seconds")?,
-                busy_seconds: x("busy_seconds")?,
-            }),
-            "epoch_start" => Some(Event::EpochStart {
-                epoch: u("epoch")?,
-                members: u("members")?,
-                planned: u("planned")?,
-            }),
-            "member_progress" => Some(Event::MemberProgress {
-                epoch: u("epoch")?,
-                member: u("member")?,
-                executed: u("executed")?,
-                condition: u("condition")?,
-                line: u("line")?,
-                fsm: u("fsm")?,
-                unique_signatures: u("unique_signatures")?,
-            }),
-            "corpus_sync" => Some(Event::CorpusSync {
-                epoch: u("epoch")?,
-                inserted: u("inserted")?,
-                duplicates: u("duplicates")?,
-                evicted: u("evicted")?,
-                distilled_from: u("distilled_from")?,
-                distilled_to: u("distilled_to")?,
-            }),
-            "budget_realloc" => Some(Event::BudgetRealloc {
-                epoch: u("epoch")?,
-                member: u("member")?,
-                cases: u("cases")?,
-                rate_milli: u("rate_milli")?,
-            }),
-            "epoch_end" => Some(Event::EpochEnd {
-                epoch: u("epoch")?,
-                executed: u("executed")?,
-                condition: u("condition")?,
-                line: u("line")?,
-                fsm: u("fsm")?,
-                unique_signatures: u("unique_signatures")?,
-            }),
-            _ => None,
-        }
     }
 }
 
@@ -1263,7 +1078,6 @@ pub fn replay_fleet(events: &[Event]) -> FleetReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Fields;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -1387,12 +1201,50 @@ mod tests {
                 fsm: 4,
                 unique_signatures: 1,
             },
+            // Boundary values; after the last round_end and epoch_end, so
+            // the replay tables above do not change.
+            Event::CaseExecuted {
+                round: u64::MAX,
+                case: u64::MAX,
+                body_len: u64::MAX,
+                gained_bits: u64::MAX,
+                retired: 0,
+                mismatches: u64::MAX,
+                new_signature: Some(u64::MAX),
+            },
+            Event::PpoUpdate {
+                case: u64::MAX,
+                episode: 0,
+                mean_ratio: f64::MIN_POSITIVE / 4.0,
+                approx_kl: -f64::MIN_POSITIVE / 3.0,
+                td_loss: f64::MAX,
+                reward_mean: -1.5e-7,
+            },
+            Event::CaseAborted {
+                round: u64::MAX,
+                case: u64::MAX,
+                reason: String::from("say \"hi\"\nthen \u{7} bell, \u{1f} unit, ünïcödé π"),
+                attempts: u64::MAX,
+            },
+            Event::MinimizeStep {
+                executions: u64::MAX,
+                from_len: u64::MAX,
+                to_len: 0,
+                sched_seed: Some(u64::MAX),
+            },
         ]
     }
 
     #[test]
     fn every_variant_round_trips_through_json() {
-        for event in sample_events() {
+        let events = sample_events();
+        for kind in EVENT_KINDS {
+            assert!(
+                events.iter().any(|e| e.kind() == *kind),
+                "sample_events() has no {kind:?} event"
+            );
+        }
+        for event in events {
             let line = event.to_json();
             let parsed = Event::from_json(&line).unwrap_or_else(|| panic!("unparseable: {line}"));
             assert_eq!(parsed, event, "{line}");
