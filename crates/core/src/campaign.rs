@@ -789,9 +789,9 @@ impl CampaignState {
         }
     }
 
-    /// Serialises the whole state as one flat stream — the fleet
-    /// orchestrator embeds this in a per-member snapshot section (the
-    /// single-campaign checkpoint keeps its own sectioned layout).
+    /// Serialises the whole state as one flat stream — the campaign
+    /// checkpoint's `state` section, each fleet snapshot's `member<i>`
+    /// section and each wire grant carry exactly these bytes.
     pub(crate) fn save<W: std::io::Write>(&self, w: &mut W) -> Result<(), PersistError> {
         write_u64(w, self.executed)?;
         write_u64(w, self.round_index)?;
@@ -826,19 +826,19 @@ impl CampaignState {
         let round_index = read_u64(r)?;
         let instructions_executed = read_u64(r)?;
         let aborted_cases = read_u64(r)?;
-        let len = read_usize(r, 1 << 28, "member coverage map length")?;
+        let len = read_usize(r, 1 << 28, "coverage map length")?;
         if len != map_len {
-            return Err(corrupt("member coverage map does not match the core"));
+            return Err(corrupt("coverage map does not match the core"));
         }
         let words = read_u64_vec(r)?;
         let cumulative = CoverageSnapshot::from_words(len, words)
-            .ok_or_else(|| corrupt("member coverage words do not fit the map"))?;
+            .ok_or_else(|| corrupt("coverage words do not fit the map"))?;
         let signatures = SignatureSet::load(r)?;
-        let detections = read_usize(r, 1 << 24, "member detection count")?;
+        let detections = read_usize(r, 1 << 24, "detection count")?;
         let first_detection = (0..detections)
             .map(|_| Ok((Signature(read_u64(r)?), read_u64(r)?)))
             .collect::<Result<_, PersistError>>()?;
-        let samples = read_usize(r, 1 << 24, "member curve length")?;
+        let samples = read_usize(r, 1 << 24, "curve length")?;
         let curve = (0..samples)
             .map(|_| {
                 Ok(CoverageSample {
@@ -1016,39 +1016,11 @@ fn write_checkpoint(
         write_u64(w, cfg.run.max_steps)?;
         write_u64(w, cfg.run.batch as u64)
     })?;
-    snap.section("progress", |w| {
-        write_u64(w, state.executed)?;
-        write_u64(w, state.round_index)?;
-        write_u64(w, state.instructions_executed)?;
-        write_u64(w, state.aborted_cases)?;
+    snap.section("pool", |w| {
         write_u64(w, pool_batches)?;
         write_u64(w, pool_cases)
     })?;
-    snap.section("coverage", |w| {
-        write_usize(w, state.cumulative.len())?;
-        write_u64_vec(w, state.cumulative.words())
-    })?;
-    snap.section("signatures", |w| state.signatures.save(w))?;
-    snap.section("detections", |w| {
-        write_usize(w, state.first_detection.len())?;
-        for (signature, case) in &state.first_detection {
-            write_u64(w, signature.0)?;
-            write_u64(w, *case)?;
-        }
-        Ok(())
-    })?;
-    snap.section("curve", |w| {
-        write_usize(w, state.curve.len())?;
-        for sample in &state.curve {
-            write_u64(w, sample.cases)?;
-            write_u64(w, sample.condition as u64)?;
-            write_u64(w, sample.line as u64)?;
-            write_u64(w, sample.fsm as u64)?;
-        }
-        Ok(())
-    })?;
-    snap.section("corpus", |w| state.trigger_corpus.save(w))?;
-    snap.section("quarantine", |w| state.quarantined.save(w))?;
+    snap.section("state", |w| state.save(w))?;
     snap.section("metrics", |w| write_metrics(w, &metrics.snapshot()))?;
     snap.section("fuzzer", |w| {
         write_string(w, fuzzer.name())?;
@@ -1086,50 +1058,13 @@ fn restore_checkpoint(
         return Err(corrupt("checkpoint was taken under a different campaign spec").into());
     }
 
-    let mut r = snap.section("progress")?;
-    state.executed = read_u64(&mut r)?;
-    state.round_index = read_u64(&mut r)?;
-    state.instructions_executed = read_u64(&mut r)?;
-    state.aborted_cases = read_u64(&mut r)?;
+    let mut r = snap.section("pool")?;
     let pool_batches = read_u64(&mut r)?;
     let pool_cases = read_u64(&mut r)?;
     pool.restore_counters(pool_batches, pool_cases);
 
-    let mut r = snap.section("coverage")?;
-    let len = read_usize(&mut r, 1 << 28, "coverage map length")?;
-    if len != state.cumulative.len() {
-        return Err(corrupt("checkpoint coverage map does not match the core").into());
-    }
-    let words = read_u64_vec(&mut r)?;
-    state.cumulative = CoverageSnapshot::from_words(len, words)
-        .ok_or_else(|| corrupt("checkpoint coverage words do not fit the map"))?;
-
-    let mut r = snap.section("signatures")?;
-    state.signatures = SignatureSet::load(&mut r)?;
-
-    let mut r = snap.section("detections")?;
-    let detections = read_usize(&mut r, 1 << 24, "detection count")?;
-    state.first_detection = (0..detections)
-        .map(|_| Ok((Signature(read_u64(&mut r)?), read_u64(&mut r)?)))
-        .collect::<Result<_, PersistError>>()?;
-
-    let mut r = snap.section("curve")?;
-    let samples = read_usize(&mut r, 1 << 24, "curve length")?;
-    state.curve = (0..samples)
-        .map(|_| {
-            Ok(CoverageSample {
-                cases: read_u64(&mut r)?,
-                condition: read_u64(&mut r)? as usize,
-                line: read_u64(&mut r)? as usize,
-                fsm: read_u64(&mut r)? as usize,
-            })
-        })
-        .collect::<Result<_, PersistError>>()?;
-
-    let mut r = snap.section("corpus")?;
-    state.trigger_corpus = Corpus::load(&mut r)?;
-    let mut r = snap.section("quarantine")?;
-    state.quarantined = Corpus::load(&mut r)?;
+    let mut r = snap.section("state")?;
+    *state = CampaignState::load(&mut r, state.cumulative.len())?;
 
     let mut r = snap.section("metrics")?;
     *metrics = read_metrics(&mut r)?;
@@ -1861,6 +1796,103 @@ mod tests {
         )
         .expect_err("fuzzer mismatch must fail");
         assert!(err.to_string().contains("belongs to fuzzer"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_the_old_sectioned_checkpoint_layout() {
+        let dir = scratch_dir("old-layout");
+        let config = CampaignConfig::quick(20);
+        let policy = CheckpointPolicy::new(&dir, 1);
+        run_campaign(
+            &mut DifuzzRtlFuzzer::new(3, 12),
+            &CampaignSpec::builder(CoreKind::Rocket, config)
+                .checkpoint(policy.clone())
+                .build()
+                .expect("valid spec"),
+        )
+        .expect("campaign runs");
+
+        // Rewrite the snapshot in the layout checkpoints had before the
+        // campaign state became one `state` section.
+        let current = SnapshotReader::read_path(&policy.snapshot_path()).expect("snapshot");
+        let section = |name| current.section(name).expect("section");
+        let map_len = Executor::builder(CoreKind::Rocket)
+            .build()
+            .coverage_map()
+            .len();
+        let state = CampaignState::load(&mut section("state"), map_len).expect("state");
+        let mut old = SnapshotWriter::new(CHECKPOINT_KIND);
+        for name in [
+            "spec",
+            "progress",
+            "coverage",
+            "signatures",
+            "detections",
+            "curve",
+            "corpus",
+            "quarantine",
+            "metrics",
+            "fuzzer",
+        ] {
+            old.section(name, |w| match name {
+                "progress" => {
+                    write_u64(w, state.executed)?;
+                    write_u64(w, state.round_index)?;
+                    write_u64(w, state.instructions_executed)?;
+                    write_u64(w, state.aborted_cases)?;
+                    w.extend_from_slice(section("pool"));
+                    Ok(())
+                }
+                "coverage" => {
+                    write_usize(w, state.cumulative.len())?;
+                    write_u64_vec(w, state.cumulative.words())
+                }
+                "signatures" => state.signatures.save(w),
+                "detections" => {
+                    write_usize(w, state.first_detection.len())?;
+                    for (signature, case) in &state.first_detection {
+                        write_u64(w, signature.0)?;
+                        write_u64(w, *case)?;
+                    }
+                    Ok(())
+                }
+                "curve" => {
+                    write_usize(w, state.curve.len())?;
+                    for s in &state.curve {
+                        for v in [s.cases, s.condition as u64, s.line as u64, s.fsm as u64] {
+                            write_u64(w, v)?;
+                        }
+                    }
+                    Ok(())
+                }
+                "corpus" => state.trigger_corpus.save(w),
+                "quarantine" => state.quarantined.save(w),
+                copied => {
+                    w.extend_from_slice(section(copied));
+                    Ok(())
+                }
+            })
+            .expect("section");
+        }
+        let old_path = dir.join("old.ckpt");
+        old.write_atomic(&old_path).expect("write the old layout");
+
+        let err = run_campaign(
+            &mut DifuzzRtlFuzzer::new(3, 12),
+            &CampaignSpec::builder(CoreKind::Rocket, config)
+                .resume_from(&old_path)
+                .build()
+                .expect("valid spec"),
+        )
+        .expect_err("the old layout must not resume");
+        assert!(
+            matches!(
+                &err,
+                RunError::Persist(PersistError::MissingSection { section }) if section == "pool"
+            ),
+            "{err:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
