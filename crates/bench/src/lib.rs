@@ -15,7 +15,8 @@
 //! corpus, merged-vs-best-solo comparison and SIGKILL resume) and
 //! `campaign_report` (JSONL replay, `--fleet` for epoch tables).
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! The end-to-end throughput benchmark lives in the `e2ebench/` package at
+//! the repository root.
 
 pub mod ablation;
 pub mod efficiency;

@@ -211,12 +211,6 @@ impl Executor {
         (self.cache.hits(), self.cache.misses())
     }
 
-    /// Runs an assembled program on both sides and diffs the executions
-    /// (one-shot predecode, bypassing the cache).
-    pub fn run_program(&mut self, program: &Program) -> CaseResult {
-        self.run_prepared(&PreparedCase::new(program.clone()))
-    }
-
     /// Runs one case on the two-hart system machine and folds the per-hart
     /// outcomes into the single-hart [`CaseResult`] shape the rest of the
     /// pipeline (pools, campaigns, coverage batching) consumes: hart 0
@@ -265,7 +259,7 @@ impl Executor {
 
     /// Runs a prepared (assembled + predecoded) case on both sides and
     /// diffs the executions.
-    pub fn run_prepared(&mut self, prepared: &PreparedCase) -> CaseResult {
+    fn run_prepared(&mut self, prepared: &PreparedCase) -> CaseResult {
         let program: &Program = &prepared.program;
         let image = &*prepared.image;
         let dut_started = std::time::Instant::now();
