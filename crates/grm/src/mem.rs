@@ -188,6 +188,8 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn round_trips_all_widths() {
@@ -240,5 +242,121 @@ mod tests {
         let addr = mem_map::DATA_BASE + 0xFFC; // straddles a page boundary
         m.write_u64(addr, 0x1122_3344_5566_7788).unwrap();
         assert_eq!(m.read_u64(addr).unwrap(), 0x1122_3344_5566_7788);
+    }
+
+    #[test]
+    fn clones_are_independent() {
+        let mut original = Memory::new();
+        let addr = mem_map::DATA_BASE + 8;
+        original.write_u32(addr, 0x1234_5678).unwrap();
+        let mut clone = original.clone();
+        clone.write_u32(addr, 0xCAFE_F00D).unwrap();
+        clone.write_u8(mem_map::SCRATCH_BASE, 0x5A).unwrap();
+        assert_eq!(original.read_u32(addr), Ok(0x1234_5678));
+        assert_eq!(
+            original.read_u8(mem_map::SCRATCH_BASE),
+            Ok(background_byte(mem_map::SCRATCH_BASE))
+        );
+        original.write_u32(addr, 0).unwrap();
+        assert_eq!(clone.read_u32(addr), Ok(0xCAFE_F00D));
+    }
+
+    /// Reference model: RAM is the background pattern overlaid with every
+    /// byte written so far; an access faults unless all of it is in RAM.
+    #[derive(Default)]
+    struct Model {
+        written: BTreeMap<u64, u8>,
+    }
+
+    impl Model {
+        fn check(addr: u64, width: u64) -> Result<(), AccessFault> {
+            match addr.checked_add(width) {
+                Some(end) if addr >= mem_map::RAM_BASE && end <= mem_map::RAM_END => Ok(()),
+                _ => Err(AccessFault { addr }),
+            }
+        }
+
+        fn read(&self, addr: u64, width: u64) -> Result<u64, AccessFault> {
+            Self::check(addr, width)?;
+            Ok((0..width).rev().fold(0, |acc, i| {
+                let a = addr + i;
+                let byte = self.written.get(&a).copied().unwrap_or(background_byte(a));
+                (acc << 8) | u64::from(byte)
+            }))
+        }
+
+        fn write(&mut self, addr: u64, width: u64, value: u64) -> Result<(), AccessFault> {
+            Self::check(addr, width)?;
+            for i in 0..width {
+                self.written.insert(addr + i, (value >> (8 * i)) as u8);
+            }
+            Ok(())
+        }
+    }
+
+    fn read(mem: &Memory, addr: u64, width: u64) -> Result<u64, AccessFault> {
+        match width {
+            1 => mem.read_u8(addr).map(u64::from),
+            2 => mem.read_u16(addr).map(u64::from),
+            4 => mem.read_u32(addr).map(u64::from),
+            _ => mem.read_u64(addr),
+        }
+    }
+
+    fn write(mem: &mut Memory, addr: u64, width: u64, value: u64) -> Result<(), AccessFault> {
+        match width {
+            1 => mem.write_u8(addr, value as u8),
+            2 => mem.write_u16(addr, value as u16),
+            4 => mem.write_u32(addr, value as u32),
+            _ => mem.write_u64(addr, value),
+        }
+    }
+
+    /// Draws an address near an edge: a page boundary inside RAM, the
+    /// first or last RAM byte, just outside the window on either side
+    /// (including accesses that straddle `RAM_END`), or the top of the
+    /// address space.
+    fn clustered_addr(draw: u64) -> u64 {
+        let pages = mem_map::RAM_SIZE / PAGE_SIZE;
+        let offset = (draw >> 8) % 24;
+        let anchor = match draw % 6 {
+            0 | 1 => mem_map::RAM_BASE + ((draw >> 16) % (pages + 1)) * PAGE_SIZE,
+            2 => mem_map::RAM_BASE,
+            3 => mem_map::RAM_END,
+            4 => mem_map::DATA_BASE + (draw >> 16) % mem_map::DATA_SIZE,
+            _ => u64::MAX - 4,
+        };
+        anchor.wrapping_add(offset).wrapping_sub(12)
+    }
+
+    proptest! {
+        #[test]
+        fn memory_matches_a_byte_overlay_on_the_background(seed in any::<u64>(), ops in 1usize..256) {
+            let mut mem = Memory::new();
+            let mut model = Model::default();
+            let mut state = seed | 1;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(0x1405_7B7E);
+                state ^ (state >> 29)
+            };
+            for _ in 0..ops {
+                let (kind, addr, value) = (next(), clustered_addr(next()), next());
+                let width = 1u64 << (kind % 4);
+                if kind & 0x10 == 0 {
+                    let got = read(&mem, addr, width);
+                    prop_assert_eq!(got, model.read(addr, width), "read{} at {:#x}", width * 8, addr);
+                } else {
+                    let got = write(&mut mem, addr, width, value);
+                    prop_assert_eq!(got, model.write(addr, width, value), "write{} at {:#x}", width * 8, addr);
+                }
+            }
+            for &addr in model.written.keys() {
+                for a in [addr - 1, addr, addr + 1] {
+                    prop_assert_eq!(read(&mem, a, 1), model.read(a, 1), "final byte at {:#x}", a);
+                }
+            }
+        }
     }
 }

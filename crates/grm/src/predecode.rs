@@ -123,22 +123,67 @@ impl PredecodedProgram {
 mod tests {
     use super::*;
     use crate::Memory;
-    use hfl_riscv::{decode, Instruction, Opcode, Reg};
+    use hfl_riscv::{Instruction, Opcode, Reg};
+    use proptest::prelude::*;
 
-    #[test]
-    fn image_mirrors_loaded_memory_across_the_whole_window() {
-        let program = Program::assemble(&[
-            Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 5),
-            Instruction::b(Opcode::Beq, Reg::X0, Reg::X0, 8),
-        ]);
-        let image = PredecodedProgram::new(&program);
-        let mut cpu = crate::Cpu::new();
-        cpu.load_program(&program);
-        for i in 0..WINDOW_WORDS {
-            let addr = mem_map::CODE_BASE + (i as u64) * 4;
-            let word = cpu.mem.read_u32(addr).expect("window is in RAM");
-            assert_eq!(image.op(i).word, word, "word mismatch at {addr:#x}");
-            assert_eq!(image.op(i).inst, decode(word).ok());
+    /// Expands a seed into `len` body words: encoded fusible and
+    /// non-fusible instructions mixed with raw garbage, so the image holds
+    /// straight runs, run breakers and illegal slots.
+    fn word_soup(seed: u64, len: usize) -> Vec<u32> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(0x1405_7B7E);
+                let draw = (state >> 32) as u32;
+                match state % 5 {
+                    0 => Instruction::i(Opcode::Addi, Reg::X10, Reg::X10, 1).encode(),
+                    1 => Instruction::r(Opcode::Mul, Reg::X11, Reg::X10, Reg::X12).encode(),
+                    2 => Instruction::b(Opcode::Beq, Reg::X0, Reg::X0, 8).encode(),
+                    _ => draw,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The image is exactly today's lowering of loaded memory: every
+        /// window word read back from a CPU that loaded the program,
+        /// predecoded, with straight runs stopped at the halt index.
+        #[test]
+        fn image_mirrors_loaded_memory_across_the_whole_window(
+            seed in any::<u64>(),
+            len in 0usize..=Program::max_body_len(),
+            edge in 0u8..8,
+        ) {
+            // Pin both ends of the body-length range in every run.
+            let len = match edge {
+                0 => 0,
+                1 => Program::max_body_len(),
+                _ => len,
+            };
+            let program = Program::assemble_raw(&word_soup(seed, len));
+            if len == Program::max_body_len() {
+                prop_assert_eq!(program.halt_pc, mem_map::HANDLER_BASE);
+            }
+            let image = PredecodedProgram::new(&program);
+            let mut cpu = crate::Cpu::new();
+            cpu.load_program(&program);
+            let words: Vec<u32> = (0..WINDOW_WORDS)
+                .map(|i| {
+                    let addr = mem_map::CODE_BASE + (i as u64) * 4;
+                    cpu.mem.read_u32(addr).expect("window is in RAM")
+                })
+                .collect();
+            let ops = predecode(&words);
+            let halt_index = ((program.halt_pc - mem_map::CODE_BASE) / 4) as usize;
+            let straight = straight_runs(&ops, halt_index);
+            prop_assert_eq!(image.halt_pc(), program.halt_pc);
+            for i in 0..WINDOW_WORDS {
+                prop_assert_eq!(image.op(i), &ops[i], "op at word {}", i);
+                prop_assert_eq!(image.straight_len(i), straight[i], "run at word {}", i);
+            }
         }
     }
 

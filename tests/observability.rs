@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use hfl::baselines::{DifuzzRtlFuzzer, Fuzzer};
+use hfl::baselines::{CascadeFuzzer, DifuzzRtlFuzzer, Fuzzer, InterleaveFuzzer};
 use hfl::campaign::{
     run_campaign, CampaignConfig, CampaignResult, CampaignSpec, CampaignSpecBuilder,
 };
@@ -231,10 +231,54 @@ fn golden_hfl_event_stream_replays_byte_for_byte() {
     assert_golden_stream(fuzzer.as_mut(), spec, "hfl_events.jsonl");
 }
 
+/// Guard for simulator changes on long self-modifying bodies: Cascade's
+/// 60-instruction bodies on CVA6 (defects V1–V4) store into their own
+/// code through `t1`, so this stream pins the predecoded image, the
+/// dirty-word fallback, the RAM pages and the mismatch signatures they
+/// produce.
+///
+/// Regenerate deliberately with `HFL_UPDATE_GOLDEN=1 cargo test -p hfl
+/// --test observability golden_cascade_event_stream`.
+#[test]
+fn golden_cascade_event_stream_replays_byte_for_byte() {
+    let mut fuzzer = FuzzerKind::Cascade.build(3);
+    let spec =
+        CampaignSpec::builder(CoreKind::Cva6, CampaignConfig::quick(96).with_batch(8)).threads(2);
+    let stream = assert_golden_stream(fuzzer.as_mut(), spec, "cascade_events.jsonl");
+    assert_has_new_signature(&stream);
+}
+
+/// Guard for the two-hart machine: interleaved Cascade bodies on the
+/// two-hart Rocket system, where both harts and the replay reference
+/// run on their own memories.
+///
+/// Regenerate deliberately with `HFL_UPDATE_GOLDEN=1 cargo test -p hfl
+/// --test observability golden_mhart_event_stream`.
+#[test]
+fn golden_mhart_event_stream_replays_byte_for_byte() {
+    let mut fuzzer = InterleaveFuzzer::new(3, CascadeFuzzer::new(3, 60));
+    let spec = CampaignSpec::builder(CoreKind::Rocket, CampaignConfig::quick(96).with_batch(8))
+        .mhart(true)
+        .threads(2);
+    let stream = assert_golden_stream(&mut fuzzer, spec, "mhart_events.jsonl");
+    assert_has_new_signature(&stream);
+}
+
+/// A golden stream only pins mismatch signatures if some case found one.
+fn assert_has_new_signature(stream: &str) {
+    assert!(
+        stream
+            .lines()
+            .any(|line| line.contains("\"type\":\"case_executed\"")
+                && !line.contains("\"new_signature\":null")),
+        "the golden stream should contain a case with a new signature"
+    );
+}
+
 /// Runs `fuzzer` under `spec` with a ring sink and compares the non-timing
 /// stream with `tests/golden/<file>`, or rewrites that file when
-/// `HFL_UPDATE_GOLDEN` is set.
-fn assert_golden_stream(fuzzer: &mut dyn Fuzzer, spec: CampaignSpecBuilder, file: &str) {
+/// `HFL_UPDATE_GOLDEN` is set. Returns the stream.
+fn assert_golden_stream(fuzzer: &mut dyn Fuzzer, spec: CampaignSpecBuilder, file: &str) -> String {
     let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let ring = Arc::new(RingSink::new(100_000));
     let spec = spec
@@ -248,7 +292,7 @@ fn assert_golden_stream(fuzzer: &mut dyn Fuzzer, spec: CampaignSpecBuilder, file
         .collect();
     if std::env::var("HFL_UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, &got).expect("write golden stream");
-        return;
+        return got;
     }
     let want = std::fs::read_to_string(&path).expect("golden stream exists (see test docs)");
     let want_lines: Vec<&str> = want.lines().collect();
@@ -261,4 +305,5 @@ fn assert_golden_stream(fuzzer: &mut dyn Fuzzer, spec: CampaignSpecBuilder, file
     for (i, (g, w)) in got_lines.iter().zip(&want_lines).enumerate() {
         assert_eq!(g, w, "golden stream diverged at event {i}");
     }
+    got
 }
