@@ -1,19 +1,27 @@
-//! Sparse, paged physical memory.
+//! Paged physical memory over the RAM window.
 
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use hfl_riscv::vocab::mem_map;
 
 const PAGE_SHIFT: u64 = 12;
-const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+const PAGE_MASK: usize = PAGE_SIZE as usize - 1;
+/// Pages in the RAM window.
+const PAGES: usize = (mem_map::RAM_SIZE / PAGE_SIZE) as usize;
 
-/// Sparse byte-addressable RAM backed by 4 KiB pages.
+type Page = [u8; PAGE_SIZE as usize];
+
+/// Byte-addressable RAM backed by 4 KiB pages, indexed from
+/// [`mem_map::RAM_BASE`].
 ///
 /// Accesses outside the simulated RAM window
 /// ([`mem_map::RAM_BASE`]`..`[`mem_map::RAM_END`]) are rejected; the CPU
 /// turns the rejection into an access fault. Untouched bytes read as a
 /// deterministic address-derived pattern so that loads from uninitialised
-/// data are reproducible across the GRM and the DUT.
+/// data are reproducible across the GRM and the DUT. Untouched pages are
+/// read from a background image of the whole window, built once per
+/// process; a page is copied out of it on its first write.
 ///
 /// # Examples
 ///
@@ -28,7 +36,8 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    /// Written pages; `None` still reads as the background.
+    pages: [Option<Box<Page>>; PAGES],
 }
 
 /// Error for an access outside the simulated RAM window.
@@ -46,13 +55,26 @@ impl core::fmt::Display for AccessFault {
 
 impl std::error::Error for AccessFault {}
 
-/// Deterministic background pattern for untouched bytes (shared with the
-/// predecoder, which lowers the whole executable window — including bytes
-/// no program word covers — ahead of execution).
-pub(crate) fn background_byte(addr: u64) -> u8 {
+/// Deterministic background pattern for untouched bytes: the one
+/// definition behind [`background`].
+fn background_byte(addr: u64) -> u8 {
     // A cheap address hash: distinct per byte, stable across runs.
     let x = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((x >> 56) ^ (x >> 32) ^ x) as u8
+}
+
+/// The background pattern of every RAM page, built once per process
+/// (shared with the predecoder, which lowers the executable window's
+/// background ahead of execution).
+pub(crate) fn background() -> &'static [Page; PAGES] {
+    static IMAGE: OnceLock<Box<[Page; PAGES]>> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let mut image = Box::new([[0u8; PAGE_SIZE as usize]; PAGES]);
+        for (addr, byte) in (mem_map::RAM_BASE..).zip(image.as_flattened_mut()) {
+            *byte = background_byte(addr);
+        }
+        image
+    })
 }
 
 impl Memory {
@@ -62,31 +84,50 @@ impl Memory {
         Memory::default()
     }
 
-    fn in_ram(addr: u64, len: u64) -> Result<(), AccessFault> {
-        if addr >= mem_map::RAM_BASE && addr.saturating_add(len) <= mem_map::RAM_END {
-            Ok(())
+    /// The offset of an `N`-byte access into the RAM window.
+    fn offset<const N: usize>(addr: u64) -> Result<usize, AccessFault> {
+        match addr.checked_sub(mem_map::RAM_BASE) {
+            Some(off) if off + N as u64 <= mem_map::RAM_SIZE => Ok(off as usize),
+            _ => Err(AccessFault { addr }),
+        }
+    }
+
+    fn page(&self, index: usize) -> &Page {
+        match &self.pages[index] {
+            Some(page) => page,
+            None => &background()[index],
+        }
+    }
+
+    fn page_mut(&mut self, index: usize) -> &mut Page {
+        self.pages[index].get_or_insert_with(|| Box::new(background()[index]))
+    }
+
+    fn read<const N: usize>(&self, addr: u64) -> Result<[u8; N], AccessFault> {
+        let off = Self::offset::<N>(addr)?;
+        let at = off & PAGE_MASK;
+        let mut bytes = [0u8; N];
+        if at + N <= PAGE_SIZE as usize {
+            bytes.copy_from_slice(&self.page(off >> PAGE_SHIFT)[at..at + N]);
         } else {
-            Err(AccessFault { addr })
-        }
-    }
-
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let page_no = addr >> PAGE_SHIFT;
-        self.pages.entry(page_no).or_insert_with(|| {
-            let base = page_no << PAGE_SHIFT;
-            let mut page = Box::new([0u8; PAGE_SIZE as usize]);
-            for (i, byte) in page.iter_mut().enumerate() {
-                *byte = background_byte(base + i as u64);
+            for (o, byte) in (off..).zip(&mut bytes) {
+                *byte = self.page(o >> PAGE_SHIFT)[o & PAGE_MASK];
             }
-            page
-        })
+        }
+        Ok(bytes)
     }
 
-    fn peek(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(page) => page[(addr & (PAGE_SIZE - 1)) as usize],
-            None => background_byte(addr),
+    fn write<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), AccessFault> {
+        let off = Self::offset::<N>(addr)?;
+        let at = off & PAGE_MASK;
+        if at + N <= PAGE_SIZE as usize {
+            self.page_mut(off >> PAGE_SHIFT)[at..at + N].copy_from_slice(&bytes);
+        } else {
+            for (o, byte) in (off..).zip(bytes) {
+                self.page_mut(o >> PAGE_SHIFT)[o & PAGE_MASK] = byte;
+            }
         }
+        Ok(())
     }
 
     /// Reads one byte.
@@ -94,8 +135,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn read_u8(&self, addr: u64) -> Result<u8, AccessFault> {
-        Self::in_ram(addr, 1)?;
-        Ok(self.peek(addr))
+        self.read(addr).map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian halfword.
@@ -103,8 +143,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn read_u16(&self, addr: u64) -> Result<u16, AccessFault> {
-        Self::in_ram(addr, 2)?;
-        Ok(u16::from_le_bytes([self.peek(addr), self.peek(addr + 1)]))
+        self.read(addr).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian word.
@@ -112,14 +151,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn read_u32(&self, addr: u64) -> Result<u32, AccessFault> {
-        Self::in_ram(addr, 4)?;
-        let b = [
-            self.peek(addr),
-            self.peek(addr + 1),
-            self.peek(addr + 2),
-            self.peek(addr + 3),
-        ];
-        Ok(u32::from_le_bytes(b))
+        self.read(addr).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian doubleword.
@@ -127,12 +159,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn read_u64(&self, addr: u64) -> Result<u64, AccessFault> {
-        Self::in_ram(addr, 8)?;
-        let mut b = [0u8; 8];
-        for (i, byte) in b.iter_mut().enumerate() {
-            *byte = self.peek(addr + i as u64);
-        }
-        Ok(u64::from_le_bytes(b))
+        self.read(addr).map(u64::from_le_bytes)
     }
 
     /// Writes one byte.
@@ -140,9 +167,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), AccessFault> {
-        Self::in_ram(addr, 1)?;
-        self.page_mut(addr)[(addr & (PAGE_SIZE - 1)) as usize] = value;
-        Ok(())
+        self.write(addr, value.to_le_bytes())
     }
 
     /// Writes a little-endian halfword.
@@ -150,12 +175,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn write_u16(&mut self, addr: u64, value: u16) -> Result<(), AccessFault> {
-        Self::in_ram(addr, 2)?;
-        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-            let a = addr + i as u64;
-            self.page_mut(a)[(a & (PAGE_SIZE - 1)) as usize] = byte;
-        }
-        Ok(())
+        self.write(addr, value.to_le_bytes())
     }
 
     /// Writes a little-endian word.
@@ -163,12 +183,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), AccessFault> {
-        Self::in_ram(addr, 4)?;
-        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-            let a = addr + i as u64;
-            self.page_mut(a)[(a & (PAGE_SIZE - 1)) as usize] = byte;
-        }
-        Ok(())
+        self.write(addr, value.to_le_bytes())
     }
 
     /// Writes a little-endian doubleword.
@@ -176,12 +191,7 @@ impl Memory {
     /// # Errors
     /// Returns [`AccessFault`] outside the RAM window.
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), AccessFault> {
-        Self::in_ram(addr, 8)?;
-        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-            let a = addr + i as u64;
-            self.page_mut(a)[(a & (PAGE_SIZE - 1)) as usize] = byte;
-        }
-        Ok(())
+        self.write(addr, value.to_le_bytes())
     }
 }
 

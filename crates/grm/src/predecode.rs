@@ -9,6 +9,10 @@
 //! [`crate::Cpu::step_predecoded`] replaces the per-step page-table fetch
 //! and table-driven decode with one array index.
 //!
+//! Only the program and handler words differ between images: the
+//! background between and after them is lowered once per process and
+//! copied into every image.
+//!
 //! The table is immutable and independent of CPU state, so one image is
 //! shared (behind an `Arc`, clone-cheap) across the GRM, the DUT and
 //! every re-execution of the same case in minimisation/triage/difftest.
@@ -17,14 +21,34 @@
 //! permanently falls back to the fetch+decode path, which is always
 //! architecturally correct.
 
-use hfl_riscv::predecode::{predecode, straight_runs, PredecodedOp};
+use std::sync::OnceLock;
+
+use hfl_riscv::predecode::{straight_runs, PredecodedOp};
 use hfl_riscv::vocab::mem_map;
 
-use crate::mem::background_byte;
+use crate::mem::{background, PAGE_SIZE};
 use crate::program::Program;
 
 /// Words in the executable window.
 pub const WINDOW_WORDS: usize = ((mem_map::DATA_BASE - mem_map::CODE_BASE) / 4) as usize;
+
+// The executable window is exactly RAM page 0.
+const _: () = assert!(
+    mem_map::CODE_BASE == mem_map::RAM_BASE && WINDOW_WORDS as u64 * 4 == PAGE_SIZE,
+    "the executable window must be RAM page 0"
+);
+
+/// The executable window's background pattern, predecoded once per
+/// process from page 0 of the memory's background image.
+fn background_ops() -> &'static [PredecodedOp] {
+    static OPS: OnceLock<Box<[PredecodedOp]>> = OnceLock::new();
+    OPS.get_or_init(|| {
+        background()[0]
+            .chunks_exact(4)
+            .map(|b| PredecodedOp::new(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect()
+    })
+}
 
 /// A program lowered into a dense predecoded image of the executable
 /// window, plus per-index straight-line run lengths for the
@@ -63,24 +87,14 @@ impl PredecodedProgram {
     /// rejects such programs).
     #[must_use]
     pub fn new(program: &Program) -> PredecodedProgram {
-        let mut words = vec![0u32; WINDOW_WORDS];
-        for (i, word) in words.iter_mut().enumerate() {
-            let addr = mem_map::CODE_BASE + (i as u64) * 4;
-            *word = u32::from_le_bytes([
-                background_byte(addr),
-                background_byte(addr + 1),
-                background_byte(addr + 2),
-                background_byte(addr + 3),
-            ]);
-        }
+        let mut ops = background_ops().to_vec();
         for (i, &word) in program.words.iter().enumerate() {
-            words[i] = word;
+            ops[i] = PredecodedOp::new(word);
         }
         let handler_base = ((mem_map::HANDLER_BASE - mem_map::CODE_BASE) / 4) as usize;
         for (i, &word) in program.handler_words.iter().enumerate() {
-            words[handler_base + i] = word;
+            ops[handler_base + i] = PredecodedOp::new(word);
         }
-        let ops = predecode(&words);
         let halt_index = ((program.halt_pc - mem_map::CODE_BASE) / 4) as usize;
         let straight = straight_runs(&ops, halt_index.min(WINDOW_WORDS));
         PredecodedProgram {
@@ -123,6 +137,7 @@ impl PredecodedProgram {
 mod tests {
     use super::*;
     use crate::Memory;
+    use hfl_riscv::predecode::predecode;
     use hfl_riscv::{Instruction, Opcode, Reg};
     use proptest::prelude::*;
 
