@@ -62,23 +62,6 @@ pub fn predecode(words: &[u32]) -> Vec<PredecodedOp> {
     words.iter().map(|&w| PredecodedOp::new(w)).collect()
 }
 
-/// Lowers an arbitrary byte body into predecoded ops, chunking into
-/// little-endian words and zero-padding a trailing partial word (zero is
-/// not a valid instruction, so the pad predecodes to an illegal slot).
-/// Total on any byte slice — binary-level fuzzers emit bodies that need
-/// not align or decode.
-#[must_use]
-pub fn predecode_bytes(bytes: &[u8]) -> Vec<PredecodedOp> {
-    bytes
-        .chunks(4)
-        .map(|chunk| {
-            let mut raw = [0u8; 4];
-            raw[..chunk.len()].copy_from_slice(chunk);
-            PredecodedOp::new(u32::from_le_bytes(raw))
-        })
-        .collect()
-}
-
 /// Whether `op` is a straight-line (superinstruction-fusible) operation:
 /// it always retires with a fall-through to `pc + 4` and can neither
 /// trap, branch, touch memory or CSRs, raise FP flags, nor halt the
@@ -220,17 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn predecode_bytes_pads_partial_words() {
-        let mut bytes = addi().to_le_bytes().to_vec();
-        bytes.push(0x13); // one trailing byte: padded word 0x0000_0013
-        let ops = predecode_bytes(&bytes);
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].inst, decode(addi()).ok());
-        assert_eq!(ops[1].word, 0x13);
-        assert_eq!(ops[1].inst, decode(0x13).ok());
-    }
-
-    #[test]
     fn straight_runs_count_fusible_prefixes() {
         let ops = predecode(&[addi(), addi(), beq(), addi()]);
         assert_eq!(straight_runs(&ops, ops.len()), vec![2, 1, 0, 1]);
@@ -284,17 +256,6 @@ mod tests {
                 prop_assert_eq!(op.word, w);
                 prop_assert_eq!(op.inst, decode(w).ok());
             }
-        }
-
-        #[test]
-        fn predecode_bytes_is_total_on_any_body(seed in any::<u64>(), len in 0usize..256) {
-            let bytes: Vec<u8> = seeded_words(seed, len.div_ceil(4) + 1)
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .take(len)
-                .collect();
-            let ops = predecode_bytes(&bytes);
-            prop_assert_eq!(ops.len(), bytes.len().div_ceil(4));
         }
 
         #[test]
