@@ -105,27 +105,17 @@ impl Memory {
 
     fn read<const N: usize>(&self, addr: u64) -> Result<[u8; N], AccessFault> {
         let off = Self::offset::<N>(addr)?;
-        let at = off & PAGE_MASK;
         let mut bytes = [0u8; N];
-        if at + N <= PAGE_SIZE as usize {
-            bytes.copy_from_slice(&self.page(off >> PAGE_SHIFT)[at..at + N]);
-        } else {
-            for (o, byte) in (off..).zip(&mut bytes) {
-                *byte = self.page(o >> PAGE_SHIFT)[o & PAGE_MASK];
-            }
+        for (o, byte) in (off..).zip(&mut bytes) {
+            *byte = self.page(o >> PAGE_SHIFT)[o & PAGE_MASK];
         }
         Ok(bytes)
     }
 
     fn write<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), AccessFault> {
         let off = Self::offset::<N>(addr)?;
-        let at = off & PAGE_MASK;
-        if at + N <= PAGE_SIZE as usize {
-            self.page_mut(off >> PAGE_SHIFT)[at..at + N].copy_from_slice(&bytes);
-        } else {
-            for (o, byte) in (off..).zip(bytes) {
-                self.page_mut(o >> PAGE_SHIFT)[o & PAGE_MASK] = byte;
-            }
+        for (o, byte) in (off..).zip(bytes) {
+            self.page_mut(o >> PAGE_SHIFT)[o & PAGE_MASK] = byte;
         }
         Ok(())
     }
