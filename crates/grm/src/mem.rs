@@ -20,7 +20,7 @@ type Page = [u8; PAGE_SIZE as usize];
 /// turns the rejection into an access fault. Untouched bytes read as a
 /// deterministic address-derived pattern so that loads from uninitialised
 /// data are reproducible across the GRM and the DUT. Untouched pages are
-/// read from a background image of the whole window, built once per
+/// read from a background image of the whole RAM, built once per
 /// process; a page is copied out of it on its first write.
 ///
 /// # Examples

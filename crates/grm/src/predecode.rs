@@ -163,7 +163,7 @@ mod tests {
     }
 
     proptest! {
-        /// The image is exactly today's lowering of loaded memory: every
+        /// The image equals the direct lowering of loaded memory: every
         /// window word read back from a CPU that loaded the program,
         /// predecoded, with straight runs stopped at the halt index.
         #[test]
