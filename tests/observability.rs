@@ -264,6 +264,21 @@ fn golden_mhart_event_stream_replays_byte_for_byte() {
     assert_has_new_signature(&stream);
 }
 
+/// Guard for the GRM dry runs inside a fuzzer and for Boom: GoldenFuzz
+/// picks each case from candidates it first runs on the golden model, so
+/// this stream pins those retire traces as well as Boom's DUT results.
+///
+/// Regenerate deliberately with `HFL_UPDATE_GOLDEN=1 cargo test -p hfl
+/// --test observability golden_goldenfuzz_boom_event_stream`.
+#[test]
+fn golden_goldenfuzz_boom_event_stream_replays_byte_for_byte() {
+    let mut fuzzer = FuzzerKind::GoldenFuzz.build(3);
+    let spec =
+        CampaignSpec::builder(CoreKind::Boom, CampaignConfig::quick(96).with_batch(8)).threads(2);
+    let stream = assert_golden_stream(fuzzer.as_mut(), spec, "goldenfuzz_boom_events.jsonl");
+    assert_has_new_signature(&stream);
+}
+
 /// A golden stream only pins mismatch signatures if some case found one.
 fn assert_has_new_signature(stream: &str) {
     assert!(
