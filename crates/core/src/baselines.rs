@@ -1077,9 +1077,10 @@ impl GoldenFuzzFuzzer {
     /// its retired instructions.
     fn retire_classes(&self, body: &[Instruction]) -> Vec<usize> {
         let program = hfl_grm::Program::assemble(body);
+        let image = hfl_grm::PredecodedProgram::new(&program);
         let mut cpu = hfl_grm::Cpu::new();
         cpu.load_program(&program);
-        let _ = cpu.run(self.max_steps);
+        let _ = cpu.run_predecoded(&image, self.max_steps);
         cpu.trace
             .iter()
             .map(|e| golden_class(e.word, e.trap.is_some()))

@@ -98,18 +98,13 @@ impl ExecutorBuilder {
     /// Builds the executor.
     #[must_use]
     pub fn build(self) -> Executor {
-        let mhart = self.mhart.then(|| {
-            MhartMachine::new(
-                self.quirks
-                    .clone()
-                    .unwrap_or_else(|| hfl_dut::quirks_for(self.kind)),
-            )
-        });
+        let quirks = self
+            .quirks
+            .unwrap_or_else(|| hfl_dut::quirks_for(self.kind));
         Executor {
-            dut: Dut::new(self.kind),
-            mhart,
+            mhart: self.mhart.then(|| MhartMachine::new(quirks.clone())),
+            dut: Dut::with_quirks(self.kind, quirks),
             max_steps: self.max_steps,
-            quirks: self.quirks,
             cache: PredecodeCache::default(),
         }
     }
@@ -140,7 +135,6 @@ pub struct Executor {
     /// The two-hart system machine, when the executor runs in mhart mode.
     mhart: Option<MhartMachine>,
     max_steps: u64,
-    quirks: Option<hfl_grm::cpu::Quirks>,
     /// Worker-local predecode cache: lock-free, and invisible to results
     /// (lookups compare full bodies — including any `sched_seed` — so
     /// stale hits cannot occur).
@@ -213,7 +207,12 @@ impl Executor {
     fn run_mhart(&mut self, prepared: &PreparedCase, sched_seed: u64) -> CaseResult {
         let machine = self.mhart.as_mut().expect("mhart mode");
         let dut_started = std::time::Instant::now();
-        let result = machine.run(&prepared.program, sched_seed, self.max_steps);
+        let result = machine.run_predecoded(
+            &prepared.program,
+            &prepared.image,
+            sched_seed,
+            self.max_steps,
+        );
         let diff_started = std::time::Instant::now();
         let mut mismatches = Vec::new();
         for (hart, (d, r)) in result.harts.iter().zip(&result.reference).enumerate() {
@@ -257,13 +256,7 @@ impl Executor {
         let program: &Program = &prepared.program;
         let image = &*prepared.image;
         let dut_started = std::time::Instant::now();
-        let dut = match &self.quirks {
-            Some(q) => {
-                self.dut
-                    .run_predecoded_with_quirks(program, image, self.max_steps, q.clone())
-            }
-            None => self.dut.run_predecoded(program, image, self.max_steps),
-        };
+        let dut = self.dut.run_predecoded(program, image, self.max_steps);
         let grm_started = std::time::Instant::now();
         let mut grm = Cpu::new();
         grm.load_program(program);

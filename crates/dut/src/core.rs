@@ -20,10 +20,11 @@
 
 use std::collections::HashSet;
 
-use hfl_grm::cpu::{Cpu, HaltReason, StepInfo, StepOutcome};
+use hfl_grm::cpu::{Cpu, HaltReason, Quirks, StepInfo, StepOutcome};
 use hfl_grm::pmp::AccessKind;
 use hfl_grm::program::Program;
 use hfl_grm::trace::{ArchSnapshot, Trace};
+use hfl_grm::PredecodedProgram;
 use hfl_riscv::vocab::mem_map;
 use hfl_riscv::{Format, Opcode, RegClass};
 
@@ -445,6 +446,8 @@ pub struct DutResult {
 #[derive(Debug, Clone)]
 pub struct Dut {
     config: CoreConfig,
+    /// The injected defects every run executes with.
+    quirks: Quirks,
     coverage: CoverageMap,
     points: Points,
     /// Reused between runs (taken out while a run is in flight so `observe`
@@ -457,12 +460,21 @@ impl Dut {
     /// defect catalogue injected.
     #[must_use]
     pub fn new(kind: CoreKind) -> Dut {
+        Dut::with_quirks(kind, bugs::quirks_for(kind))
+    }
+
+    /// Creates the instrumented model for one core family with an
+    /// explicit defect configuration (used by the per-bug detection
+    /// experiments; [`Quirks::default`] injects nothing).
+    #[must_use]
+    pub fn with_quirks(kind: CoreKind, quirks: Quirks) -> Dut {
         let config = CoreConfig::for_kind(kind);
         let mut coverage = CoverageMap::new();
         let points = Points::register(&mut coverage, &config);
         register_dead_banks(&mut coverage, &config);
         Dut {
             config,
+            quirks,
             coverage,
             points,
             micro: None,
@@ -487,61 +499,26 @@ impl Dut {
         &self.coverage
     }
 
-    /// Runs one test case from reset, returning trace + coverage.
+    /// Runs one test case from reset, returning trace + coverage: lowers
+    /// `program` into a predecoded image and runs [`Dut::run_predecoded`].
+    pub fn run_program(&mut self, program: &Program, max_steps: u64) -> DutResult {
+        self.run_predecoded(program, &PredecodedProgram::new(program), max_steps)
+    }
+
+    /// Runs one test case from reset, dispatching over `image`, the
+    /// predecoded image of `program`.
     ///
     /// Every run starts from a cold core (fresh caches, predictor, CSRs),
-    /// matching an RTL simulation that resets the DUT per stimulus.
-    pub fn run_program(&mut self, program: &Program, max_steps: u64) -> DutResult {
-        let quirks = bugs::quirks_for(self.config.kind);
-        self.run_program_with_quirks(program, max_steps, quirks)
-    }
-
-    /// Runs one test case with an explicit defect configuration (used by
-    /// the per-bug detection experiments).
-    pub fn run_program_with_quirks(
-        &mut self,
-        program: &Program,
-        max_steps: u64,
-        quirks: hfl_grm::cpu::Quirks,
-    ) -> DutResult {
-        self.run_inner(program, None, max_steps, quirks)
-    }
-
-    /// Runs one test case dispatching over a predecoded image of
-    /// `program`, skipping the per-step fetch+decode. Coverage, trace and
-    /// architectural results are bit-identical to [`Dut::run_program`]:
-    /// the micro-architectural overlay consumes every [`StepInfo`] either
-    /// way (so unlike the GRM there is no superinstruction block path
-    /// here — the win is the fetch/decode elimination).
+    /// matching an RTL simulation that resets the DUT per stimulus. The
+    /// micro-architectural overlay consumes every [`StepInfo`], so unlike
+    /// the GRM there is no superinstruction block path here.
     pub fn run_predecoded(
         &mut self,
         program: &Program,
-        image: &hfl_grm::PredecodedProgram,
+        image: &PredecodedProgram,
         max_steps: u64,
     ) -> DutResult {
-        let quirks = bugs::quirks_for(self.config.kind);
-        self.run_predecoded_with_quirks(program, image, max_steps, quirks)
-    }
-
-    /// [`Dut::run_predecoded`] with an explicit defect configuration.
-    pub fn run_predecoded_with_quirks(
-        &mut self,
-        program: &Program,
-        image: &hfl_grm::PredecodedProgram,
-        max_steps: u64,
-        quirks: hfl_grm::cpu::Quirks,
-    ) -> DutResult {
-        self.run_inner(program, Some(image), max_steps, quirks)
-    }
-
-    fn run_inner(
-        &mut self,
-        program: &Program,
-        image: Option<&hfl_grm::PredecodedProgram>,
-        max_steps: u64,
-        quirks: hfl_grm::cpu::Quirks,
-    ) -> DutResult {
-        let mut cpu = Cpu::with_quirks(quirks);
+        let mut cpu = Cpu::with_quirks(self.quirks.clone());
         cpu.load_program(program);
         let mut micro = match self.micro.take() {
             Some(mut m) => {
@@ -560,10 +537,7 @@ impl Dut {
                 halt = HaltReason::StepBudget;
                 break;
             }
-            let info = match image {
-                Some(image) => cpu.step_predecoded(image),
-                None => cpu.step(),
-            };
+            let info = cpu.step_predecoded(image);
             if let StepOutcome::Halted(reason) = info.outcome {
                 halt = reason;
                 break;

@@ -27,7 +27,7 @@
 //! artefact.
 
 use hfl_grm::cpu::{Quirks, StepOutcome};
-use hfl_grm::{cause, ArchSnapshot, Cpu, HaltReason, Program, Trace};
+use hfl_grm::{cause, ArchSnapshot, Cpu, HaltReason, PredecodedProgram, Program, Trace};
 use hfl_sys::{mix3, ComponentId, Scheduler};
 
 use crate::coverage::{CoverageKind, CoverageMap, CoverageSnapshot, PointId};
@@ -111,6 +111,7 @@ impl MhartResult {
 }
 
 /// Coverage points the machine instruments.
+#[derive(Debug, Clone)]
 struct MhartPoints {
     hart_step: [PointId; NUM_HARTS],
     hart_trap: [PointId; NUM_HARTS],
@@ -167,8 +168,8 @@ struct PendingStore {
 /// The two-hart system machine.
 ///
 /// Like [`crate::Dut`], the machine is reusable across test cases: the
-/// coverage map persists (ids stay stable) while each [`MhartMachine::run`]
-/// starts from fresh architectural state.
+/// coverage map persists (ids stay stable) while each run starts from
+/// fresh architectural state.
 ///
 /// # Examples
 ///
@@ -187,17 +188,7 @@ struct PendingStore {
 pub struct MhartMachine {
     quirks: Quirks,
     coverage: CoverageMap,
-    points: std::sync::Arc<MhartPointsBox>,
-}
-
-/// Wrapper so `MhartMachine` can derive `Debug` without exposing the
-/// point table.
-struct MhartPointsBox(MhartPoints);
-
-impl std::fmt::Debug for MhartPointsBox {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("MhartPoints")
-    }
+    points: MhartPoints,
 }
 
 impl MhartMachine {
@@ -212,7 +203,7 @@ impl MhartMachine {
         MhartMachine {
             quirks,
             coverage,
-            points: std::sync::Arc::new(MhartPointsBox(points)),
+            points,
         }
     }
 
@@ -230,13 +221,32 @@ impl MhartMachine {
 
     /// Runs one SPMD program on both harts under the interleaving selected
     /// by `sched_seed`, then replays the committed schedule on a clean
-    /// sequential reference.
+    /// sequential reference: lowers `program` into a predecoded image and
+    /// runs [`MhartMachine::run_predecoded`].
+    pub fn run(&mut self, program: &Program, sched_seed: u64, max_steps: u64) -> MhartResult {
+        self.run_predecoded(
+            program,
+            &PredecodedProgram::new(program),
+            sched_seed,
+            max_steps,
+        )
+    }
+
+    /// [`MhartMachine::run`] over `image`, the predecoded image of
+    /// `program`. Both harts and the reference step over it. A window
+    /// word that a store from either hart overwrites is fetched live from
+    /// then on.
     ///
     /// `max_steps` bounds the *total* committed hart steps across the
     /// system (the analogue of the single-hart step budget).
-    pub fn run(&mut self, program: &Program, sched_seed: u64, max_steps: u64) -> MhartResult {
-        let points = std::sync::Arc::clone(&self.points);
-        let points = &points.0;
+    pub fn run_predecoded(
+        &mut self,
+        program: &Program,
+        image: &PredecodedProgram,
+        sched_seed: u64,
+        max_steps: u64,
+    ) -> MhartResult {
+        let points = &self.points;
 
         // ---- DUT side: quirked harts under the event scheduler ----
         let mut cpus: Vec<Cpu> = (0..NUM_HARTS)
@@ -273,7 +283,7 @@ impl MhartMachine {
             while i < pending.len() {
                 if pending[i].due_commit <= committed {
                     let p = pending.swap_remove(i);
-                    self.apply_to_hart(&mut cpus, &mut halted, p, points);
+                    apply_to_hart(&mut cpus, p, &mut self.coverage, points);
                 } else {
                     i += 1;
                 }
@@ -312,7 +322,7 @@ impl MhartMachine {
                 break;
             }
 
-            let info = cpus[h].step();
+            let info = cpus[h].step_predecoded(image);
             match info.outcome {
                 StepOutcome::Halted(reason) => {
                     halted[h] = Some(reason);
@@ -360,7 +370,7 @@ impl MhartMachine {
                         points.bus_remote_store,
                     );
                     if store.due_commit <= committed {
-                        self.apply_to_hart(&mut cpus, &mut halted, store, points);
+                        apply_to_hart(&mut cpus, store, &mut self.coverage, points);
                     } else {
                         pending.push(store);
                     }
@@ -386,7 +396,7 @@ impl MhartMachine {
             .collect();
 
         // ---- Reference: clean sequential replay of the schedule ----
-        let reference = replay_reference(program, &schedule, program_halt(program));
+        let reference = replay_reference(program, image, &schedule);
 
         MhartResult {
             harts,
@@ -396,42 +406,39 @@ impl MhartMachine {
             scheduled_steps,
         }
     }
-
-    /// Applies one bus store to its target hart's view of memory.
-    fn apply_to_hart(
-        &mut self,
-        cpus: &mut [Cpu],
-        halted: &mut [Option<HaltReason>; NUM_HARTS],
-        store: PendingStore,
-        points: &MhartPoints,
-    ) {
-        // Even a halted hart's memory stays coherent: its final state was
-        // already captured by its halt, and arch snapshots ignore memory,
-        // but skipping would special-case nothing. Apply unconditionally.
-        let _ = halted;
-        let target = &mut cpus[store.target];
-        let had_reservation = target.reservation() == Some(store.addr);
-        target.apply_remote_store(store.addr, store.size, store.value);
-        if had_reservation {
-            self.coverage.hit_cond(
-                target.reservation().is_none(),
-                points.bus_reservation_cleared,
-                points.bus_remote_store,
-            );
-        }
-        if store.addr < hfl_riscv::vocab::mem_map::DATA_BASE {
-            self.coverage.hit(points.bus_remote_code_store);
-        }
-    }
 }
 
-fn program_halt(program: &Program) -> u64 {
-    program.halt_pc
+/// Applies one bus store to its target hart's view of memory. A halted
+/// hart's memory is updated too: its arch snapshot ignores memory, so
+/// skipping it would special-case nothing.
+fn apply_to_hart(
+    cpus: &mut [Cpu],
+    store: PendingStore,
+    coverage: &mut CoverageMap,
+    points: &MhartPoints,
+) {
+    let target = &mut cpus[store.target];
+    let had_reservation = target.reservation() == Some(store.addr);
+    target.apply_remote_store(store.addr, store.size, store.value);
+    if had_reservation {
+        coverage.hit_cond(
+            target.reservation().is_none(),
+            points.bus_reservation_cleared,
+            points.bus_remote_store,
+        );
+    }
+    if store.addr < hfl_riscv::vocab::mem_map::DATA_BASE {
+        coverage.hit(points.bus_remote_code_store);
+    }
 }
 
 /// Replays a committed schedule on defect-free GRM cores with immediate
 /// store propagation: the sequential architectural reference.
-fn replay_reference(program: &Program, schedule: &[CommitEvent], halt_pc: u64) -> Vec<HartResult> {
+fn replay_reference(
+    program: &Program,
+    image: &PredecodedProgram,
+    schedule: &[CommitEvent],
+) -> Vec<HartResult> {
     let mut cpus: Vec<Cpu> = (0..NUM_HARTS)
         .map(|h| {
             let mut cpu = Cpu::new();
@@ -452,7 +459,7 @@ fn replay_reference(program: &Program, schedule: &[CommitEvent], halt_pc: u64) -
                     // does; the trace-length divergence is the finding.
                     continue;
                 }
-                let info = cpus[h].step();
+                let info = cpus[h].step_predecoded(image);
                 if let StepOutcome::Halted(reason) = info.outcome {
                     halted[h] = Some(reason);
                     continue;
@@ -477,9 +484,9 @@ fn replay_reference(program: &Program, schedule: &[CommitEvent], halt_pc: u64) -
         .enumerate()
         .map(|(h, cpu)| {
             let halt = halted[h].unwrap_or_else(|| {
-                // Mirror what one more `step()` would report without
+                // Mirror what one more step would report without
                 // executing it: budget ran out mid-program otherwise.
-                if cpu.pc == halt_pc {
+                if cpu.pc == program.halt_pc {
                     HaltReason::ReachedHaltPc
                 } else if !(hfl_riscv::vocab::mem_map::CODE_BASE
                     ..hfl_riscv::vocab::mem_map::DATA_BASE)

@@ -88,7 +88,7 @@ pub enum HaltReason {
     Crash(&'static str),
 }
 
-/// Outcome of a single [`Cpu::step`].
+/// Outcome of a single [`Cpu::step_predecoded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// The instruction retired normally.
@@ -124,7 +124,24 @@ pub struct StepInfo {
     pub fp_unboxed_input: bool,
 }
 
-/// Result of [`Cpu::run`].
+impl StepInfo {
+    /// A retiring step at `pc` that has fetched and executed nothing yet.
+    fn at(pc: u64) -> StepInfo {
+        StepInfo {
+            pc,
+            word: 0,
+            inst: None,
+            outcome: StepOutcome::Retired,
+            branch: None,
+            mem: None,
+            rd_write: None,
+            fp_flags: 0,
+            fp_unboxed_input: false,
+        }
+    }
+}
+
+/// Result of [`Cpu::run_predecoded`] and [`Cpu::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunResult {
     /// Why the run stopped.
@@ -265,130 +282,72 @@ impl Cpu {
         false
     }
 
-    /// Executes one instruction.
-    pub fn step(&mut self) -> StepInfo {
+    /// The checks before every fetch, shared by both step paths: the halt
+    /// pc, the executable window, alignment and fetch PMP. `Ok` carries
+    /// the step's record and the pc's window word index; `Err` is the
+    /// finished record of a step that halted or trapped before fetching.
+    ///
+    /// Always inlined: as a call it costs the predecoded loop about 2 %.
+    #[inline(always)]
+    fn fetch_index(&mut self) -> Result<(StepInfo, usize), StepInfo> {
         let pc = self.pc;
-        let mut info = StepInfo {
-            pc,
-            word: 0,
-            inst: None,
-            outcome: StepOutcome::Retired,
-            branch: None,
-            mem: None,
-            rd_write: None,
-            fp_flags: 0,
-            fp_unboxed_input: false,
-        };
-        // Halt checks.
+        let mut info = StepInfo::at(pc);
         if pc == self.halt_pc {
             info.outcome = StepOutcome::Halted(HaltReason::ReachedHaltPc);
-            return info;
+            return Err(info);
         }
-        let executable = (mem_map::CODE_BASE..mem_map::DATA_BASE).contains(&pc);
-        if !executable {
+        if !(mem_map::CODE_BASE..mem_map::DATA_BASE).contains(&pc) {
             info.outcome = StepOutcome::Halted(HaltReason::OutOfCode(pc));
-            return info;
+            return Err(info);
         }
-        // Fetch.
-        if !pc.is_multiple_of(4) {
-            self.take_trap(
-                &mut info,
-                Trap {
-                    cause: cause::MISALIGNED_FETCH,
-                    tval: pc,
-                },
-            );
-            return info;
-        }
-        if !self.check_pmp(pc, AccessKind::Fetch) {
-            self.take_trap(
-                &mut info,
-                Trap {
-                    cause: cause::FETCH_ACCESS,
-                    tval: pc,
-                },
-            );
-            return info;
-        }
-        let word = match self.mem.read_u32(pc) {
-            Ok(w) => w,
-            Err(_) => {
-                self.take_trap(
-                    &mut info,
-                    Trap {
-                        cause: cause::FETCH_ACCESS,
-                        tval: pc,
-                    },
-                );
-                return info;
-            }
+        let cause = if !pc.is_multiple_of(4) {
+            cause::MISALIGNED_FETCH
+        } else if !self.check_pmp(pc, AccessKind::Fetch) {
+            cause::FETCH_ACCESS
+        } else {
+            return Ok((info, ((pc - mem_map::CODE_BASE) / 4) as usize));
         };
-        info.word = word;
-        self.dispatch(decode(word).ok(), info)
+        self.take_trap(&mut info, Trap { cause, tval: pc });
+        Err(info)
+    }
+
+    /// Executes one instruction, fetching and decoding it from memory.
+    /// Only [`Cpu::run`], the reference loop, steps this way.
+    fn step(&mut self) -> StepInfo {
+        match self.fetch_index() {
+            Ok((info, _)) => self.dispatch_live(info),
+            Err(done) => done,
+        }
     }
 
     /// Executes one instruction, fetching and decoding from a predecoded
     /// image instead of memory.
     ///
-    /// Behaviour is bit-identical to [`Cpu::step`] provided `image` was
-    /// built from the program loaded into this (then-fresh) CPU: window
-    /// words overwritten by stores since [`Cpu::load_program`] are tracked
-    /// and re-fetched from live memory, and everything after the fetch
-    /// goes through the same dispatch code as `step`.
+    /// Behaviour is bit-identical to a step of the reference loop
+    /// [`Cpu::run`] provided `image` was built from the program loaded
+    /// into this (then-fresh) CPU: window words overwritten by stores
+    /// since [`Cpu::load_program`] are tracked and re-fetched from live
+    /// memory, and the checks before the fetch and everything after it
+    /// are the same code in both.
     pub fn step_predecoded(&mut self, image: &PredecodedProgram) -> StepInfo {
-        let pc = self.pc;
-        let mut info = StepInfo {
-            pc,
-            word: 0,
-            inst: None,
-            outcome: StepOutcome::Retired,
-            branch: None,
-            mem: None,
-            rd_write: None,
-            fp_flags: 0,
-            fp_unboxed_input: false,
+        let (mut info, index) = match self.fetch_index() {
+            Ok(fetch) => fetch,
+            Err(done) => return done,
         };
-        // Halt checks.
-        if pc == self.halt_pc {
-            info.outcome = StepOutcome::Halted(HaltReason::ReachedHaltPc);
-            return info;
-        }
-        let executable = (mem_map::CODE_BASE..mem_map::DATA_BASE).contains(&pc);
-        if !executable {
-            info.outcome = StepOutcome::Halted(HaltReason::OutOfCode(pc));
-            return info;
-        }
-        if !pc.is_multiple_of(4) {
-            self.take_trap(
-                &mut info,
-                Trap {
-                    cause: cause::MISALIGNED_FETCH,
-                    tval: pc,
-                },
-            );
-            return info;
-        }
-        if !self.check_pmp(pc, AccessKind::Fetch) {
-            self.take_trap(
-                &mut info,
-                Trap {
-                    cause: cause::FETCH_ACCESS,
-                    tval: pc,
-                },
-            );
-            return info;
-        }
-        let index = ((pc - mem_map::CODE_BASE) / 4) as usize;
         if self.is_code_dirty(index) {
             // Self-modified word: the image is stale here, fetch live.
-            // The window is always inside RAM, so the read cannot fault.
-            let word = self.mem.read_u32(pc).expect("window is in RAM");
-            info.word = word;
-            return self.dispatch(decode(word).ok(), info);
+            return self.dispatch_live(info);
         }
         let op = image.op(index);
         info.word = op.word;
         self.dispatch(op.inst, info)
+    }
+
+    /// Fetches the word at `info.pc` from memory, decodes it and executes
+    /// it. The executable window is RAM page 0, so the read cannot fault.
+    fn dispatch_live(&mut self, mut info: StepInfo) -> StepInfo {
+        info.word = self.mem.read_u32(info.pc).expect("window is in RAM");
+        self.dispatch(decode(info.word).ok(), info)
     }
 
     /// Shared tail of the step paths: execute the (possibly illegal)
@@ -574,7 +533,13 @@ impl Cpu {
         }
     }
 
-    /// Runs until halt or until `max_steps` instructions retire.
+    /// Runs until halt or until `max_steps` instructions retire, fetching
+    /// and decoding every step from memory.
+    ///
+    /// This is the reference interpreter. Simulators run
+    /// [`Cpu::run_predecoded`] or [`Cpu::step_predecoded`]; the
+    /// equivalence tests and the `bench_sim` benchmark compare them with
+    /// this loop.
     pub fn run(&mut self, max_steps: u64) -> RunResult {
         let mut steps = 0u64;
         loop {
@@ -647,15 +612,9 @@ impl Cpu {
             let op = image.op(index + i);
             let inst = op.inst.expect("straight-line slots decode");
             let mut info = StepInfo {
-                pc: self.pc,
                 word: op.word,
                 inst: Some(inst),
-                outcome: StepOutcome::Retired,
-                branch: None,
-                mem: None,
-                rd_write: None,
-                fp_flags: 0,
-                fp_unboxed_input: false,
+                ..StepInfo::at(self.pc)
             };
             let exec = self.execute(inst, &mut info);
             debug_assert!(matches!(exec, Exec::Next), "straight-line ops fall through");

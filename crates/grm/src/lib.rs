@@ -13,8 +13,11 @@
 //!
 //! # Examples
 //!
+//! A program is assembled, lowered once into a predecoded image of the
+//! executable window, and run over that image:
+//!
 //! ```
-//! use hfl_grm::{Cpu, Program};
+//! use hfl_grm::{Cpu, HaltReason, PredecodedProgram, Program};
 //! use hfl_riscv::{Instruction, Opcode, Reg};
 //!
 //! let body = vec![
@@ -23,9 +26,11 @@
 //!     Instruction::r(Opcode::Add, Reg::X10, Reg::X10, Reg::X11),
 //! ];
 //! let program = Program::assemble(&body);
+//! let image = PredecodedProgram::new(&program);
 //! let mut cpu = Cpu::new();
 //! cpu.load_program(&program);
-//! cpu.run(10_000);
+//! let result = cpu.run_predecoded(&image, 10_000);
+//! assert_eq!(result.reason, HaltReason::ReachedHaltPc);
 //! assert_eq!(cpu.x[10], 42);
 //! ```
 

@@ -14,8 +14,8 @@ use rand::SeedableRng;
 
 fn assert_equivalent(core: CoreKind, body: &[hfl_riscv::Instruction], label: &str) {
     let program = Program::assemble(body);
-    let mut dut = Dut::new(core);
-    let dut_result = dut.run_program_with_quirks(&program, 20_000, Quirks::default());
+    let mut dut = Dut::with_quirks(core, Quirks::default());
+    let dut_result = dut.run_program(&program, 20_000);
     let mut grm = Cpu::new();
     grm.load_program(&program);
     let grm_run = grm.run(20_000);

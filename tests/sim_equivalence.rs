@@ -2,20 +2,24 @@
 //!
 //! Every optimisation in the predecode overhaul — the dense decoded-op
 //! image, the superinstruction block path, the per-worker cache — is
-//! allowed exactly zero observable effect. This suite drives randomly
-//! generated programs (valid instructions, raw word soup, branches into
-//! the background, self-traps) through the legacy per-step fetch+decode
-//! interpreters and the predecoded dispatch on all three cores, with the
-//! per-core defect catalogues and each injected bug armed individually,
-//! and requires bit-identical architectural snapshots, halt reasons,
-//! traces and coverage maps — then re-checks the whole pool at 1/2/8
+//! allowed exactly zero observable effect. Every simulator steps over the
+//! predecoded image; the per-step fetch+decode loop `Cpu::run` survives as
+//! the reference it is checked against. A step's record is fixed by its
+//! fetched word, and everything before and after the fetch is shared code,
+//! so the fetch source is the one thing the two can differ in.
+//!
+//! This suite drives randomly generated programs (valid instructions, raw
+//! word soup, branches into the background, self-traps) through both
+//! interpreters under each core's defect catalogue and under each
+//! injected bug armed individually, and requires bit-identical registers,
+//! pc, counters, CSRs and traces — then re-checks the whole pool at 1/2/8
 //! worker threads.
 
 use hfl::baselines::TestBody;
 use hfl::exec::ExecPool;
 use hfl::harness::{CaseResult, Executor};
-use hfl_dut::{bugs, CoreKind, Dut, DutResult};
-use hfl_grm::cpu::Cpu;
+use hfl_dut::{bugs, CoreKind, DutResult};
+use hfl_grm::cpu::{Cpu, Quirks};
 use hfl_grm::{PredecodedProgram, Program};
 use hfl_riscv::{Instruction, Opcode, Reg};
 
@@ -70,18 +74,39 @@ fn seeded_words(seed: u64, len: usize) -> Vec<u32> {
         .collect()
 }
 
-fn assert_dut_results_match(legacy: &DutResult, fast: &DutResult, context: &str) {
-    assert_eq!(legacy.halt, fast.halt, "{context}: halt reason");
-    assert_eq!(legacy.steps, fast.steps, "{context}: retired steps");
-    assert_eq!(legacy.cycles, fast.cycles, "{context}: modelled cycles");
-    assert_eq!(legacy.arch, fast.arch, "{context}: architectural state");
-    assert_eq!(legacy.trace, fast.trace, "{context}: trace");
-    assert_eq!(legacy.coverage, fast.coverage, "{context}: coverage map");
+fn assert_dut_results_match(want: &DutResult, got: &DutResult, context: &str) {
+    assert_eq!(want.halt, got.halt, "{context}: halt reason");
+    assert_eq!(want.steps, got.steps, "{context}: retired steps");
+    assert_eq!(want.cycles, got.cycles, "{context}: modelled cycles");
+    assert_eq!(want.arch, got.arch, "{context}: architectural state");
+    assert_eq!(want.trace, got.trace, "{context}: trace");
+    assert_eq!(want.coverage, got.coverage, "{context}: coverage map");
+}
+
+/// Runs `program` with `quirks` on the reference loop `Cpu::run` and on
+/// `Cpu::run_predecoded`, and requires bit-identical results.
+fn assert_interpreters_match(program: &Program, quirks: &Quirks, context: &str) {
+    let image = PredecodedProgram::new(program);
+    let mut reference = Cpu::with_quirks(quirks.clone());
+    reference.load_program(program);
+    let reference_run = reference.run(MAX_STEPS);
+    let mut fast = Cpu::with_quirks(quirks.clone());
+    fast.load_program(program);
+    let fast_run = fast.run_predecoded(&image, MAX_STEPS);
+    assert_eq!(reference_run, fast_run, "{context}: run result");
+    assert_eq!(reference.x, fast.x, "{context}: integer registers");
+    assert_eq!(reference.f, fast.f, "{context}: FP registers");
+    assert_eq!(reference.pc, fast.pc, "{context}: pc");
+    assert_eq!(reference.cycle, fast.cycle, "{context}: cycle");
+    assert_eq!(reference.instret, fast.instret, "{context}: instret");
+    assert_eq!(reference.csrs, fast.csrs, "{context}: CSRs");
+    assert_eq!(reference.trace, fast.trace, "{context}: trace");
 }
 
 /// The tentpole contract at the single-core level: for random programs,
-/// the predecoded DUT and GRM paths reproduce the legacy interpreters bit
-/// for bit on every core, under each core's shipped defect configuration.
+/// the predecoded interpreter reproduces the reference loop bit for bit
+/// under every core's shipped defect configuration and on the clean
+/// golden model.
 #[test]
 fn predecoded_paths_match_legacy_on_all_cores() {
     for core in CoreKind::ALL {
@@ -89,58 +114,28 @@ fn predecoded_paths_match_legacy_on_all_cores() {
         for seed in 0..24u64 {
             let len = 4 + (seed as usize * 7) % 44;
             let program = Program::assemble_raw(&seeded_words(seed * 2 + 1, len));
-            let image = PredecodedProgram::new(&program);
             let context = format!("{core:?} seed {seed}");
-
-            let legacy =
-                Dut::new(core).run_program_with_quirks(&program, MAX_STEPS, quirks.clone());
-            let fast = Dut::new(core).run_predecoded_with_quirks(
-                &program,
-                &image,
-                MAX_STEPS,
-                quirks.clone(),
-            );
-            assert_dut_results_match(&legacy, &fast, &context);
-
-            let mut grm_legacy = Cpu::new();
-            grm_legacy.load_program(&program);
-            let legacy_run = grm_legacy.run(MAX_STEPS);
-            let mut grm_fast = Cpu::new();
-            grm_fast.load_program(&program);
-            let fast_run = grm_fast.run_predecoded(&image, MAX_STEPS);
-            assert_eq!(legacy_run, fast_run, "{context}: GRM run result");
-            assert_eq!(grm_legacy.x, grm_fast.x, "{context}: GRM registers");
-            assert_eq!(grm_legacy.pc, grm_fast.pc, "{context}: GRM pc");
-            assert_eq!(grm_legacy.csrs, grm_fast.csrs, "{context}: GRM CSRs");
-            assert_eq!(grm_legacy.trace, grm_fast.trace, "{context}: GRM trace");
+            assert_interpreters_match(&program, &quirks, &context);
+            assert_interpreters_match(&program, &Quirks::default(), &format!("{context} clean"));
         }
     }
 }
 
 /// Each catalogued injected bug, armed individually on its host core:
 /// the quirk-bearing execution paths (traps, PMP grace windows, cache-line
-/// crashes, flag bugs) must behave identically under both dispatchers.
+/// crashes, flag bugs) must behave identically in both interpreters.
 #[test]
 fn injected_bugs_trap_identically_in_both_dispatch_paths() {
     for bug in bugs::CATALOG {
         for &core in bug.cores {
-            let mut quirks = hfl_grm::cpu::Quirks::default();
+            let mut quirks = Quirks::default();
             bugs::enable(&mut quirks, bug.id, core);
             for seed in 0..8u64 {
                 let len = 6 + (seed as usize * 5) % 30;
                 let program = Program::assemble_raw(&seeded_words(seed ^ 0xB0B0, len));
-                let image = PredecodedProgram::new(&program);
-                let legacy =
-                    Dut::new(core).run_program_with_quirks(&program, MAX_STEPS, quirks.clone());
-                let fast = Dut::new(core).run_predecoded_with_quirks(
+                assert_interpreters_match(
                     &program,
-                    &image,
-                    MAX_STEPS,
-                    quirks.clone(),
-                );
-                assert_dut_results_match(
-                    &legacy,
-                    &fast,
+                    &quirks,
                     &format!("bug {} on {core:?} seed {seed}", bug.id),
                 );
             }
