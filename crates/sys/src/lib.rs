@@ -5,15 +5,11 @@
 //! reservation race only exists if a *second* agent can slip a store
 //! between the reservation and the conditional store, and an
 //! interrupt-window bug only exists if a device can fire *between* two
-//! instructions. This crate provides the minimal machinery for that —
-//! components with their own notion of "when I next act" and a scheduler
-//! that serialises them:
-//!
-//! - [`Component`]: anything with an identity, a next event time and a
-//!   `tick` action (a hart, a timer, a DMA engine),
-//! - [`Scheduler`]: a min-heap over pending events keyed by
-//!   `(tick, rank, id)`, where `rank` is a seeded hash of
-//!   `(seed, tick, id)`.
+//! instructions. This crate provides the minimal machinery for that: a
+//! [`Scheduler`] that serialises the events of components (a hart, a
+//! timer) identified by a [`ComponentId`]. It is a min-heap over pending
+//! events keyed by `(tick, rank, id)`, where `rank` is a seeded hash of
+//! `(seed, tick, id)`.
 //!
 //! The rank term is the load-bearing design decision. Events at *distinct*
 //! ticks are ordered by time, as in any discrete-event simulator. Events
@@ -32,22 +28,26 @@
 //!
 //! # Examples
 //!
+//! Two clocks, each acting every 10 ticks three times. Each pop returns
+//! the next event; the loop reschedules the clock that acted.
+//!
 //! ```
-//! use hfl_sys::{Component, ComponentId, Scheduler};
+//! use hfl_sys::{ComponentId, Scheduler};
 //!
-//! struct Clock { id: ComponentId, at: u64, fired: u64 }
-//! impl Component for Clock {
-//!     fn id(&self) -> ComponentId { self.id }
-//!     fn next_tick(&self) -> Option<u64> { (self.fired < 3).then_some(self.at) }
-//!     fn tick(&mut self, now: u64) { self.fired += 1; self.at = now + 10; }
-//! }
-//!
-//! let mut a = Clock { id: ComponentId(0), at: 0, fired: 0 };
-//! let mut b = Clock { id: ComponentId(1), at: 0, fired: 0 };
+//! let mut fired = [0u64; 2];
 //! let mut scheduler = Scheduler::new(42);
-//! let events = scheduler.run_components(&mut [&mut a, &mut b], 100);
-//! assert_eq!(events, 6);
-//! assert_eq!((a.fired, b.fired), (3, 3));
+//! scheduler.schedule(ComponentId(0), 0);
+//! scheduler.schedule(ComponentId(1), 0);
+//! while let Some((now, id)) = scheduler.pop() {
+//!     let count = &mut fired[id.0 as usize];
+//!     *count += 1;
+//!     if *count < 3 {
+//!         scheduler.schedule(id, now + 10);
+//!     }
+//! }
+//! assert_eq!(fired, [3, 3]);
+//! assert_eq!(scheduler.processed(), 6);
+//! assert_eq!(scheduler.now(), 20);
 //! ```
 
 use std::cmp::Reverse;
@@ -61,23 +61,6 @@ impl std::fmt::Display for ComponentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "c{}", self.0)
     }
-}
-
-/// A schedulable agent in a system simulation.
-///
-/// Implementations report when they next want to act ([`Component::
-/// next_tick`], `None` when idle/done) and perform that action in
-/// [`Component::tick`]. The driver ([`Scheduler::run_components`]) asks
-/// for a fresh `next_tick` after every `tick`, so components reschedule
-/// themselves simply by updating their own state.
-pub trait Component {
-    /// This component's identity (stable for its lifetime).
-    fn id(&self) -> ComponentId;
-    /// Absolute tick of the next action, or `None` when the component has
-    /// nothing left to do.
-    fn next_tick(&self) -> Option<u64>;
-    /// Performs the action scheduled for `now`.
-    fn tick(&mut self, now: u64);
 }
 
 /// SplitMix64 finaliser: a cheap, high-quality 64-bit mixer. Used to
@@ -111,11 +94,10 @@ struct EventKey {
 /// module docs for the design rationale).
 ///
 /// The scheduler itself is agnostic to what components *are*: it manages
-/// `(tick, ComponentId)` events. Use [`Scheduler::schedule`] /
-/// [`Scheduler::pop`] to drive a hand-rolled event loop (the multi-hart
-/// DUT machine does this, since its components need cross-component
-/// effects like bus store propagation), or [`Scheduler::run_components`]
-/// to drive a slice of [`Component`] trait objects.
+/// `(tick, ComponentId)` events. Its owner drives the event loop with
+/// [`Scheduler::schedule`] and [`Scheduler::pop`], as the multi-hart DUT
+/// machine does, applying cross-component effects such as bus store
+/// propagation between events.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     seed: u64,
@@ -136,12 +118,6 @@ impl Scheduler {
         }
     }
 
-    /// The interleaving seed this scheduler permutes ties with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Current simulation time: the tick of the most recently popped
     /// event (0 before the first pop).
     #[must_use]
@@ -155,23 +131,10 @@ impl Scheduler {
         self.processed
     }
 
-    /// Pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// The seeded tie-break rank of `(tick, id)`: events sharing a tick
     /// are processed in ascending rank, so each tick gets its own
     /// pseudo-random permutation of the simultaneous components.
-    #[must_use]
-    pub fn rank(&self, tick: u64, id: ComponentId) -> u64 {
+    fn rank(&self, tick: u64, id: ComponentId) -> u64 {
         mix3(self.seed, tick, u64::from(id.0))
     }
 
@@ -194,44 +157,6 @@ impl Scheduler {
         self.now = key.tick;
         self.processed += 1;
         Some((key.tick, ComponentId(key.id)))
-    }
-
-    /// Drives `components` until all are idle or `max_events` have been
-    /// processed; returns the number of events processed. Component ids
-    /// must be unique within the slice.
-    ///
-    /// # Panics
-    /// Panics if two components share an id.
-    pub fn run_components(
-        &mut self,
-        components: &mut [&mut dyn Component],
-        max_events: u64,
-    ) -> u64 {
-        let mut ids: Vec<u32> = components.iter().map(|c| c.id().0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), components.len(), "component ids must be unique");
-        for component in components.iter() {
-            if let Some(tick) = component.next_tick() {
-                self.schedule(component.id(), tick);
-            }
-        }
-        let mut processed = 0u64;
-        while processed < max_events {
-            let Some((now, id)) = self.pop() else {
-                break;
-            };
-            let component = components
-                .iter_mut()
-                .find(|c| c.id() == id)
-                .expect("popped id belongs to a component");
-            component.tick(now);
-            processed += 1;
-            if let Some(tick) = component.next_tick() {
-                self.schedule(component.id(), tick);
-            }
-        }
-        processed
     }
 }
 
@@ -313,67 +238,6 @@ mod tests {
         s.schedule(ComponentId(1), 2);
         let (tick, id) = s.pop().expect("event pending");
         assert_eq!((tick, id), (10, ComponentId(1)), "clamped to now");
-    }
-
-    struct Counter {
-        id: ComponentId,
-        at: u64,
-        period: u64,
-        remaining: u64,
-        log: Vec<u64>,
-    }
-
-    impl Component for Counter {
-        fn id(&self) -> ComponentId {
-            self.id
-        }
-        fn next_tick(&self) -> Option<u64> {
-            (self.remaining > 0).then_some(self.at)
-        }
-        fn tick(&mut self, now: u64) {
-            self.log.push(now);
-            self.remaining -= 1;
-            self.at = now + self.period;
-        }
-    }
-
-    fn counter(id: u32, period: u64, remaining: u64) -> Counter {
-        Counter {
-            id: ComponentId(id),
-            at: 0,
-            period,
-            remaining,
-            log: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn run_components_drives_to_idle() {
-        let mut a = counter(0, 3, 4);
-        let mut b = counter(1, 5, 2);
-        let mut s = Scheduler::new(11);
-        let events = s.run_components(&mut [&mut a, &mut b], 1_000);
-        assert_eq!(events, 6);
-        assert_eq!(a.log, vec![0, 3, 6, 9]);
-        assert_eq!(b.log, vec![0, 5]);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn run_components_respects_the_event_budget() {
-        let mut a = counter(0, 1, u64::MAX);
-        let mut s = Scheduler::new(0);
-        let events = s.run_components(&mut [&mut a], 17);
-        assert_eq!(events, 17);
-        assert_eq!(s.len(), 1, "the survivor is still scheduled");
-    }
-
-    #[test]
-    #[should_panic(expected = "component ids must be unique")]
-    fn duplicate_ids_are_rejected() {
-        let mut a = counter(4, 1, 1);
-        let mut b = counter(4, 1, 1);
-        Scheduler::new(0).run_components(&mut [&mut a, &mut b], 10);
     }
 
     #[test]
