@@ -1,7 +1,8 @@
 //! The two-hart system configuration, end to end: scheduler determinism
 //! (fixed `sched_seed` ⇒ bit-identical non-timing event stream at any
 //! thread count, and across checkpoint/resume), the clean-config
-//! DUT/reference lockstep property, and campaign-level detection plus
+//! DUT/reference lockstep property, a digest pin of the schedules the
+//! concurrency PoCs commit, and campaign-level detection plus
 //! minimisation of every concurrency defect class.
 
 use std::sync::Arc;
@@ -10,10 +11,13 @@ use hfl::baselines::{DifuzzRtlFuzzer, Feedback, Fuzzer, InterleaveFuzzer, TestBo
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignResult, CampaignSpec, CheckpointPolicy};
 use hfl::harness::Executor;
 use hfl::obs::{Event, RingSink, SinkHandle};
-use hfl::poc::poc_body_for;
+use hfl::poc::{poc_body_for, poc_for};
 use hfl::triage::minimize_body;
+use hfl_dut::mhart::{CommitEvent, MhartMachine};
 use hfl_dut::{bugs, CoreKind};
 use hfl_grm::cpu::Quirks;
+use hfl_grm::Program;
+use hfl_nn::persist::fnv1a;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -221,6 +225,37 @@ fn two_hart_campaign_finds_and_minimises_every_concurrency_class() {
             bug.id
         );
     }
+}
+
+/// Pins every interleaving the machine commits for the concurrency PoCs:
+/// C1, C2 and C3, each enabled alone on Rocket, `poc_for(id)` bodies,
+/// seeds 0..64 and a 3,000-step budget. Every `CommitEvent` and each
+/// run's `scheduled_steps` feed one FNV-1a digest, so any change to the
+/// event order, the rank mixer or the tick costs shows up here.
+#[test]
+fn committed_schedules_are_pinned() {
+    let mut bytes = Vec::new();
+    for id in ["C1", "C2", "C3"] {
+        let mut quirks = Quirks::default();
+        bugs::enable(&mut quirks, id, CoreKind::Rocket);
+        let mut machine = MhartMachine::new(quirks);
+        let program = Program::assemble(&poc_for(id));
+        for seed in 0..64 {
+            let run = machine.run(&program, seed, 3_000);
+            for event in &run.schedule {
+                bytes.extend_from_slice(&match *event {
+                    CommitEvent::Step(h) => [0, h],
+                    CommitEvent::Interrupt(h) => [1, h],
+                });
+            }
+            bytes.extend_from_slice(&run.scheduled_steps.to_le_bytes());
+        }
+    }
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (94_726, 0x1d60_9652_05cd_8d81),
+        "committed two-hart schedules changed"
+    );
 }
 
 proptest! {
