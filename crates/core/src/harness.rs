@@ -1,7 +1,7 @@
 //! The execution harness: runs a test case on both the DUT and the GRM
 //! and performs differential testing.
 
-use hfl_dut::{CoreKind, Dut, DutResult, MhartMachine};
+use hfl_dut::{CoreKind, Dut, DutResult, MhartMachine, MhartResult};
 use hfl_grm::cpu::HaltReason;
 use hfl_grm::{ArchSnapshot, Cpu, Program, Trace};
 use hfl_riscv::Instruction;
@@ -223,24 +223,25 @@ impl Executor {
             mismatches.extend(found);
         }
         let done = std::time::Instant::now();
-        let [dut0, _] = &result.harts[..] else {
-            unreachable!("two harts");
-        };
-        let [ref0, _] = &result.reference[..] else {
-            unreachable!("two harts");
-        };
+        let MhartResult {
+            harts: [dut0, dut1],
+            reference: [ref0, _],
+            coverage,
+            scheduled_steps,
+            ..
+        } = result;
         CaseResult {
             dut: DutResult {
                 halt: dut0.halt,
-                steps: result.harts.iter().map(|h| h.steps).sum(),
-                cycles: result.scheduled_steps,
-                trace: dut0.trace.clone(),
-                arch: dut0.arch.clone(),
-                coverage: result.coverage,
+                steps: dut0.steps + dut1.steps,
+                cycles: scheduled_steps,
+                trace: dut0.trace,
+                arch: dut0.arch,
+                coverage,
             },
-            grm_trace: ref0.trace.clone(),
+            grm_trace: ref0.trace,
             grm_halt: ref0.halt,
-            grm_arch: ref0.arch.clone(),
+            grm_arch: ref0.arch,
             mismatches,
             timing: CaseTiming {
                 dut_seconds: (diff_started - dut_started).as_secs_f64(),

@@ -1,4 +1,4 @@
-//! Two-hart system DUT on the `hfl-sys` discrete-event scheduler.
+//! Two-hart system DUT driven by a seeded three-slot event table.
 //!
 //! Single-hart difftest can never expose a concurrency defect: there is no
 //! second agent to race against. This module builds the smallest system
@@ -8,8 +8,8 @@
 //! by that bus, and a machine-timer device that fires asynchronous
 //! interrupts into the existing CSR/trap machinery.
 //!
-//! Interleavings are driven by [`hfl_sys::Scheduler`]: every hart step and
-//! timer firing is a scheduled event, ties are broken by the scheduler's
+//! Interleavings are driven by the machine's event table: every hart step
+//! and timer firing is a scheduled event, same-tick events fire in a
 //! seeded permutation, and per-step tick costs are themselves derived from
 //! the seed — so one `sched_seed` selects one exact interleaving, making
 //! the schedule both reproducible and fuzzable (the seed joins the fuzzer
@@ -28,21 +28,14 @@
 
 use hfl_grm::cpu::{Quirks, StepOutcome};
 use hfl_grm::{cause, ArchSnapshot, Cpu, HaltReason, PredecodedProgram, Program, Trace};
-use hfl_sys::{mix3, ComponentId, Scheduler};
 
 use crate::coverage::{CoverageKind, CoverageMap, CoverageSnapshot, PointId};
 
 /// Number of harts in the system configuration.
 pub const NUM_HARTS: usize = 2;
 
-/// Scheduler component id of hart `h`.
-#[must_use]
-pub fn hart_component(h: usize) -> ComponentId {
-    ComponentId(h as u32)
-}
-
-/// Scheduler component id of the timer device.
-pub const TIMER_COMPONENT: ComponentId = ComponentId(NUM_HARTS as u32);
+/// Event-table slot of the timer device; hart `h` owns slot `h`.
+const TIMER_SLOT: usize = NUM_HARTS;
 
 /// Register carrying the hart index (x30 / t5).
 ///
@@ -85,15 +78,15 @@ pub struct HartResult {
 #[derive(Debug, Clone)]
 pub struct MhartResult {
     /// Per-hart outcome on the (possibly defect-injected) DUT.
-    pub harts: Vec<HartResult>,
+    pub harts: [HartResult; NUM_HARTS],
     /// Per-hart outcome of the defect-free sequential reference replaying
     /// the committed schedule.
-    pub reference: Vec<HartResult>,
+    pub reference: [HartResult; NUM_HARTS],
     /// The committed serialisation.
     pub schedule: Vec<CommitEvent>,
     /// Coverage hit by this case (system-level points).
     pub coverage: CoverageSnapshot,
-    /// Total events the scheduler processed (steps + timer firings).
+    /// Total events the machine popped (hart steps + timer firings).
     pub scheduled_steps: u64,
 }
 
@@ -163,6 +156,71 @@ struct PendingStore {
     addr: u64,
     size: u8,
     value: u64,
+}
+
+/// SplitMix64 finaliser: a cheap, high-quality 64-bit mixer.
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Combines a seed with two coordinates into one mixed value: event
+/// ranks, per-step tick costs and the timer's period and phase.
+fn mix3(seed: u64, a: u64, b: u64) -> u64 {
+    mix64(seed ^ mix64(a ^ mix64(b)))
+}
+
+/// The machine's pending events: one slot per hart plus one for the
+/// timer, each holding at most one `(tick, rank)` event.
+///
+/// Events pop in `(tick, rank, slot)` order with
+/// `rank = mix3(seed, tick, slot)`. Distinct ticks fire in time order;
+/// events sharing a tick fire in a per-tick permutation that the seed
+/// picks. The same seed therefore replays the same interleaving, while
+/// another seed re-permutes every same-tick decision of the run. The slot
+/// tail keeps the order total should two ranks ever collide.
+#[derive(Debug)]
+struct EventTable {
+    seed: u64,
+    /// Tick of the most recently popped event (0 before the first pop).
+    now: u64,
+    /// Events popped so far.
+    pops: u64,
+    slots: [Option<(u64, u64)>; NUM_HARTS + 1],
+}
+
+impl EventTable {
+    fn new(seed: u64) -> EventTable {
+        EventTable {
+            seed,
+            now: 0,
+            pops: 0,
+            slots: [None; NUM_HARTS + 1],
+        }
+    }
+
+    /// Enqueues `slot`'s next event at `tick`. A slot holds one event at a
+    /// time — a hart is rescheduled only after its own step, the timer
+    /// only after it fires — and no event lands in the past.
+    fn schedule(&mut self, slot: usize, tick: u64) {
+        debug_assert!(self.slots[slot].is_none(), "slot {slot} already pending");
+        debug_assert!(tick >= self.now, "slot {slot} scheduled into the past");
+        self.slots[slot] = Some((tick, mix3(self.seed, tick, slot as u64)));
+    }
+
+    /// Removes the least `(tick, rank, slot)` event, advances `now` to its
+    /// tick and returns its slot.
+    fn pop(&mut self) -> Option<usize> {
+        let (tick, _, slot) = (0..self.slots.len())
+            .filter_map(|slot| self.slots[slot].map(|(tick, rank)| (tick, rank, slot)))
+            .min()?;
+        self.slots[slot] = None;
+        self.now = tick;
+        self.pops += 1;
+        Some(slot)
+    }
 }
 
 /// The two-hart system machine.
@@ -248,15 +306,13 @@ impl MhartMachine {
     ) -> MhartResult {
         let points = &self.points;
 
-        // ---- DUT side: quirked harts under the event scheduler ----
-        let mut cpus: Vec<Cpu> = (0..NUM_HARTS)
-            .map(|h| {
-                let mut cpu = Cpu::with_quirks(self.quirks.clone());
-                cpu.load_program(program);
-                cpu.x[HART_ID_REG] = h as u64;
-                cpu
-            })
-            .collect();
+        // ---- DUT side: quirked harts under the event table ----
+        let mut cpus: [Cpu; NUM_HARTS] = std::array::from_fn(|h| {
+            let mut cpu = Cpu::with_quirks(self.quirks.clone());
+            cpu.load_program(program);
+            cpu.x[HART_ID_REG] = h as u64;
+            cpu
+        });
         let mut halted: [Option<HaltReason>; NUM_HARTS] = [None; NUM_HARTS];
         let mut hart_steps = [0u64; NUM_HARTS];
         let mut schedule = Vec::new();
@@ -264,17 +320,17 @@ impl MhartMachine {
         let mut interleave_window = 0usize; // last 3 hart choices, 1 bit each
         let mut committed = 0u64;
 
-        let mut sched = Scheduler::new(sched_seed);
+        let mut events = EventTable::new(sched_seed);
         for h in 0..NUM_HARTS {
-            sched.schedule(hart_component(h), 0);
+            events.schedule(h, 0);
         }
         // Timer period and phase derive from the seed so interleaving
         // fuzzing also explores interrupt placement.
         let timer_period = 7 + mix3(sched_seed, 0x7117, 0) % 9;
-        sched.schedule(TIMER_COMPONENT, timer_period);
+        events.schedule(TIMER_SLOT, timer_period);
         let mut timer_firings = 0u64;
 
-        while let Some((_tick, id)) = sched.pop() {
+        while let Some(slot) = events.pop() {
             if halted.iter().all(Option::is_some) {
                 break;
             }
@@ -289,7 +345,7 @@ impl MhartMachine {
                 }
             }
 
-            if id == TIMER_COMPONENT {
+            if slot == TIMER_SLOT {
                 self.coverage.hit(points.timer_fired);
                 // Alternate the target hart; seed picks the phase.
                 let target =
@@ -303,12 +359,12 @@ impl MhartMachine {
                     self.coverage.hit(points.timer_masked);
                 }
                 if halted.iter().any(Option::is_none) {
-                    sched.schedule(TIMER_COMPONENT, sched.now() + timer_period);
+                    events.schedule(TIMER_SLOT, events.now + timer_period);
                 }
                 continue;
             }
 
-            let h = id.0 as usize;
+            let h = slot;
             if halted[h].is_some() {
                 continue;
             }
@@ -377,23 +433,19 @@ impl MhartMachine {
                 }
             }
 
-            sched.schedule(
-                id,
-                sched.now() + 1 + mix3(sched_seed, h as u64, hart_steps[h]) % 3,
+            events.schedule(
+                h,
+                events.now + 1 + mix3(sched_seed, h as u64, hart_steps[h]) % 3,
             );
         }
-        let scheduled_steps = sched.processed();
+        let scheduled_steps = events.pops;
 
-        let harts: Vec<HartResult> = cpus
-            .iter()
-            .enumerate()
-            .map(|(h, cpu)| HartResult {
-                trace: cpu.trace.clone(),
-                halt: halted[h].unwrap_or(HaltReason::StepBudget),
-                arch: cpu.arch_snapshot(),
-                steps: hart_steps[h],
-            })
-            .collect();
+        let harts = std::array::from_fn(|h| HartResult {
+            trace: std::mem::take(&mut cpus[h].trace),
+            halt: halted[h].unwrap_or(HaltReason::StepBudget),
+            arch: cpus[h].arch_snapshot(),
+            steps: hart_steps[h],
+        });
 
         // ---- Reference: clean sequential replay of the schedule ----
         let reference = replay_reference(program, image, &schedule);
@@ -412,7 +464,7 @@ impl MhartMachine {
 /// hart's memory is updated too: its arch snapshot ignores memory, so
 /// skipping it would special-case nothing.
 fn apply_to_hart(
-    cpus: &mut [Cpu],
+    cpus: &mut [Cpu; NUM_HARTS],
     store: PendingStore,
     coverage: &mut CoverageMap,
     points: &MhartPoints,
@@ -438,15 +490,13 @@ fn replay_reference(
     program: &Program,
     image: &PredecodedProgram,
     schedule: &[CommitEvent],
-) -> Vec<HartResult> {
-    let mut cpus: Vec<Cpu> = (0..NUM_HARTS)
-        .map(|h| {
-            let mut cpu = Cpu::new();
-            cpu.load_program(program);
-            cpu.x[HART_ID_REG] = h as u64;
-            cpu
-        })
-        .collect();
+) -> [HartResult; NUM_HARTS] {
+    let mut cpus: [Cpu; NUM_HARTS] = std::array::from_fn(|h| {
+        let mut cpu = Cpu::new();
+        cpu.load_program(program);
+        cpu.x[HART_ID_REG] = h as u64;
+        cpu
+    });
     let mut halted: [Option<HaltReason>; NUM_HARTS] = [None; NUM_HARTS];
     let mut steps = [0u64; NUM_HARTS];
 
@@ -480,37 +530,142 @@ fn replay_reference(
         }
     }
 
-    cpus.iter()
-        .enumerate()
-        .map(|(h, cpu)| {
-            let halt = halted[h].unwrap_or_else(|| {
-                // Mirror what one more step would report without
-                // executing it: budget ran out mid-program otherwise.
-                if cpu.pc == program.halt_pc {
-                    HaltReason::ReachedHaltPc
-                } else if !(hfl_riscv::vocab::mem_map::CODE_BASE
-                    ..hfl_riscv::vocab::mem_map::DATA_BASE)
-                    .contains(&cpu.pc)
-                {
-                    HaltReason::OutOfCode(cpu.pc)
-                } else {
-                    HaltReason::StepBudget
-                }
-            });
-            HartResult {
-                trace: cpu.trace.clone(),
-                halt,
-                arch: cpu.arch_snapshot(),
-                steps: steps[h],
+    std::array::from_fn(|h| {
+        let cpu = &mut cpus[h];
+        let halt = halted[h].unwrap_or_else(|| {
+            // Mirror what one more step would report without
+            // executing it: budget ran out mid-program otherwise.
+            if cpu.pc == program.halt_pc {
+                HaltReason::ReachedHaltPc
+            } else if !(hfl_riscv::vocab::mem_map::CODE_BASE..hfl_riscv::vocab::mem_map::DATA_BASE)
+                .contains(&cpu.pc)
+            {
+                HaltReason::OutOfCode(cpu.pc)
+            } else {
+                HaltReason::StepBudget
             }
-        })
-        .collect()
+        });
+        HartResult {
+            trace: std::mem::take(&mut cpu.trace),
+            halt,
+            arch: cpu.arch_snapshot(),
+            steps: steps[h],
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hfl_riscv::{Instruction, Opcode, Reg};
+    use proptest::prelude::*;
+
+    /// Pops every event out of a table whose three slots all fire at
+    /// `tick`, returning the slot order.
+    fn tie_order(seed: u64, tick: u64) -> Vec<usize> {
+        let mut events = EventTable::new(seed);
+        for slot in 0..=TIMER_SLOT {
+            events.schedule(slot, tick);
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| events.pop()).collect();
+        assert_eq!(events.now, tick);
+        order
+    }
+
+    #[test]
+    fn mixers_are_stable_and_spread() {
+        // Regression-pin the mixer: ranks feed committed interleavings,
+        // so a silent change to mix64 would invalidate recorded seeds.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix3(1, 2, 3), mix3(1, 2, 3));
+        let distinct: std::collections::HashSet<u64> = (0..1000).map(mix64).collect();
+        assert_eq!(distinct.len(), 1000);
+    }
+
+    #[test]
+    fn events_come_out_in_time_order() {
+        let mut events = EventTable::new(0);
+        events.schedule(0, 30);
+        events.schedule(1, 10);
+        events.schedule(TIMER_SLOT, 20);
+        let popped: Vec<(usize, u64)> =
+            std::iter::from_fn(|| events.pop().map(|slot| (slot, events.now))).collect();
+        assert_eq!(popped, vec![(1, 10), (TIMER_SLOT, 20), (0, 30)]);
+        assert_eq!(events.pops, 3);
+    }
+
+    #[test]
+    fn same_seed_same_order() {
+        for seed in [0, 1, 0xDEAD_BEEF] {
+            assert_eq!(tie_order(seed, 0), tie_order(seed, 0));
+        }
+    }
+
+    #[test]
+    fn ties_are_permuted_by_the_seed() {
+        // Every seed yields a permutation of the three slots...
+        let mut reference = tie_order(0, 0);
+        reference.sort_unstable();
+        assert_eq!(reference, vec![0, 1, TIMER_SLOT]);
+        // ...and the seeds disagree on the order (3! = 6 permutations
+        // over 16 seeds: one order for all of them would mean the rank
+        // mixing is broken).
+        let orders: std::collections::HashSet<Vec<usize>> =
+            (0..16).map(|seed| tie_order(seed, 0)).collect();
+        assert!(orders.len() > 1, "seed must influence tie-breaking");
+    }
+
+    #[test]
+    fn ties_at_different_ticks_permute_independently() {
+        // The rank mixes the tick in, so one seed permutes the same slots
+        // differently from tick to tick.
+        let orders: std::collections::HashSet<Vec<usize>> =
+            (0..32).map(|tick| tie_order(7, tick)).collect();
+        assert!(orders.len() > 1, "per-tick permutations must vary");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pop_order_is_deterministic_and_time_sorted(
+            seed in any::<u64>(),
+            event_seed in any::<u64>(),
+            rounds in 1u64..16,
+        ) {
+            // Each slot fires `rounds` times and is rescheduled 0..8 ticks
+            // after each of its pops, as the machine reschedules a hart
+            // after its step and the timer after it fires; `event_seed`
+            // draws the ticks.
+            let run = |seed: u64| {
+                let mut events = EventTable::new(seed);
+                let mut fired = [0u64; NUM_HARTS + 1];
+                for slot in 0..=TIMER_SLOT {
+                    events.schedule(slot, mix3(event_seed, slot as u64, 0) % 8);
+                }
+                let mut out = Vec::new();
+                while let Some(slot) = events.pop() {
+                    out.push((events.now, slot));
+                    fired[slot] += 1;
+                    if fired[slot] < rounds {
+                        let delay = mix3(event_seed, slot as u64, fired[slot]) % 8;
+                        events.schedule(slot, events.now + delay);
+                    }
+                }
+                (out, events.pops)
+            };
+            let (a, pops) = run(seed);
+            prop_assert_eq!(&a, &run(seed).0, "same seed, same order");
+            prop_assert_eq!(pops, a.len() as u64, "every pop is counted");
+            for pair in a.windows(2) {
+                prop_assert!(pair[0].0 <= pair[1].0, "time never regresses");
+            }
+            for slot in 0..=TIMER_SLOT {
+                let pops = a.iter().filter(|(_, s)| *s == slot).count() as u64;
+                prop_assert_eq!(pops, rounds, "every event pops once");
+            }
+        }
+    }
 
     /// Both harts increment a private counter; no sharing, no races.
     fn independent_body() -> Vec<Instruction> {
