@@ -4,8 +4,6 @@
 //! This is campaign-level parallelism (one thread per whole campaign). For
 //! case-level parallelism inside a single campaign, see `hfl::exec`.
 
-use hfl::CampaignResult;
-
 /// Runs jobs on one thread each, returning results in job order.
 ///
 /// # Panics
@@ -23,21 +21,6 @@ where
             .map(|h| h.join().expect("parallel job panicked"))
             .collect()
     })
-}
-
-/// Averages the final per-metric counts of several campaign results
-/// (multi-seed aggregation). Returns `(condition, line, fsm)` means.
-#[must_use]
-pub fn mean_final_counts(results: &[CampaignResult]) -> (f64, f64, f64) {
-    let n = results.len().max(1) as f64;
-    let mut acc = (0.0, 0.0, 0.0);
-    for r in results {
-        let (c, l, f) = r.final_counts();
-        acc.0 += c as f64;
-        acc.1 += l as f64;
-        acc.2 += f as f64;
-    }
-    (acc.0 / n, acc.1 / n, acc.2 / n)
 }
 
 #[cfg(test)]
@@ -72,7 +55,5 @@ mod tests {
         .expect("campaign runs");
         assert_eq!(parallel[0].curve, sequential.curve);
         assert_eq!(parallel.len(), 2);
-        let (c, l, f) = mean_final_counts(&parallel);
-        assert!(c > 0.0 && l > 0.0 && f > 0.0);
     }
 }

@@ -67,19 +67,6 @@ impl TestBody {
             _ => None,
         }
     }
-
-    /// The same case with a different interleaving seed; single-hart
-    /// bodies are returned unchanged.
-    #[must_use]
-    pub fn with_sched_seed(&self, seed: u64) -> TestBody {
-        match self {
-            TestBody::Mhart { body, .. } => TestBody::Mhart {
-                body: body.clone(),
-                sched_seed: seed,
-            },
-            other => other.clone(),
-        }
-    }
 }
 
 /// Coverage feedback handed back to a fuzzer after each case.
@@ -114,8 +101,8 @@ impl Feedback {
 }
 
 /// A composition wrapper received a [`TestBody`] variant it cannot wrap
-/// without losing information (e.g. re-wrapping or flattening a
-/// [`TestBody::Mhart`] case would silently drop its interleaving seed).
+/// without losing information (e.g. re-wrapping a [`TestBody::Mhart`]
+/// case would silently drop its interleaving seed).
 ///
 /// Returned by [`Fuzzer::try_next_case`]/[`Fuzzer::try_next_round`]; the
 /// campaign runner surfaces it as a typed run error instead of a panic.
@@ -871,140 +858,6 @@ impl<F: Fuzzer> Fuzzer for InterleaveFuzzer<F> {
     }
 }
 
-/// Lifts any fuzzer into a Cascade-style long-program regime: `stitch`
-/// consecutive inner cases are flattened into one long assembly program,
-/// so a short-case generator's output exercises the deep pipeline/cache
-/// states that only long straight-line runs reach. Feedback for the
-/// stitched case is forwarded to the inner fuzzer once per constituent.
-#[derive(Debug)]
-pub struct CascadeWrapFuzzer<F> {
-    inner: F,
-    stitch: usize,
-    /// One inner body drawn but not yet emitted (a multi-hart case that
-    /// interrupted a stitch on the lenient path leads the next case).
-    carry: Option<TestBody>,
-    /// Constituent inner bodies of emitted cases awaiting feedback,
-    /// oldest first.
-    pending: std::collections::VecDeque<Vec<TestBody>>,
-}
-
-impl<F: Fuzzer> CascadeWrapFuzzer<F> {
-    /// Wraps `inner`, stitching `stitch` consecutive cases per program.
-    ///
-    /// # Panics
-    /// Panics if `stitch` is zero.
-    #[must_use]
-    pub fn new(stitch: usize, inner: F) -> CascadeWrapFuzzer<F> {
-        assert!(stitch > 0, "stitch factor must be positive");
-        CascadeWrapFuzzer {
-            inner,
-            stitch,
-            carry: None,
-            pending: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn mhart_error(&self) -> ComposeError {
-        ComposeError::new(
-            "CascadeWrap",
-            self.inner.name(),
-            "flattening a multi-hart case would drop its interleaving seed",
-        )
-    }
-}
-
-impl<F: Fuzzer> Fuzzer for CascadeWrapFuzzer<F> {
-    fn name(&self) -> &'static str {
-        "CascadeWrap"
-    }
-
-    fn next_case(&mut self) -> TestBody {
-        let mut group = Vec::with_capacity(self.stitch);
-        let mut flat = Vec::new();
-        while group.len() < self.stitch {
-            let inner_body = match self.carry.take() {
-                Some(body) => body,
-                None => self.inner.next_case(),
-            };
-            if matches!(inner_body, TestBody::Mhart { .. }) {
-                // Lenient path: a multi-hart case cannot be flattened
-                // without dropping its interleaving seed.
-                if group.is_empty() {
-                    // Pass it through unchanged as its own case.
-                    self.pending.push_back(vec![inner_body.clone()]);
-                    return inner_body;
-                }
-                // Emit the partial stitch; the multi-hart case leads the
-                // next draw.
-                self.carry = Some(inner_body);
-                break;
-            }
-            flat.extend(crate::campaign::decodable_instructions(&inner_body));
-            group.push(inner_body);
-        }
-        self.pending.push_back(group);
-        TestBody::Asm(flat)
-    }
-
-    fn try_next_case(&mut self) -> Result<TestBody, ComposeError> {
-        let mut group = Vec::with_capacity(self.stitch);
-        let mut flat = Vec::new();
-        while group.len() < self.stitch {
-            let inner_body = match self.carry.take() {
-                Some(body) => body,
-                None => self.inner.try_next_case()?,
-            };
-            if matches!(inner_body, TestBody::Mhart { .. }) {
-                return Err(self.mhart_error());
-            }
-            flat.extend(crate::campaign::decodable_instructions(&inner_body));
-            group.push(inner_body);
-        }
-        self.pending.push_back(group);
-        Ok(TestBody::Asm(flat))
-    }
-
-    fn try_next_round(&mut self, n: usize) -> Result<Vec<TestBody>, ComposeError> {
-        (0..n.max(1)).map(|_| self.try_next_case()).collect()
-    }
-
-    fn feedback(&mut self, _body: &TestBody, feedback: Feedback) {
-        // The stitched case's reward is shared by every constituent: each
-        // contributed instructions to the program that earned it.
-        let Some(group) = self.pending.pop_front() else {
-            return;
-        };
-        for inner_body in &group {
-            self.inner.feedback(inner_body, feedback.clone());
-        }
-    }
-
-    fn wants_case_bits(&self) -> bool {
-        self.inner.wants_case_bits()
-    }
-
-    fn attach_sink(&mut self, sink: crate::obs::SinkHandle) {
-        self.inner.attach_sink(sink);
-    }
-
-    fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {
-        if !self.pending.is_empty() || self.carry.is_some() {
-            return Err(PersistError::Unsupported(
-                "cascade-wrap checkpoint requires a round boundary",
-            ));
-        }
-        write_usize(&mut w, self.stitch)?;
-        self.inner.save_state(w)
-    }
-
-    fn load_state(&mut self, mut r: &mut dyn Read) -> Result<(), PersistError> {
-        self.stitch = read_usize(&mut r, 1 << 20, "stitch factor")?;
-        self.carry = None;
-        self.pending.clear();
-        self.inner.load_state(r)
-    }
-}
-
 /// Number of architectural-transition classes [`GoldenFuzzFuzzer`] tracks.
 const GOLDEN_CLASSES: usize = 16;
 
@@ -1366,7 +1219,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_composition_rejects_mhart_inner_cases_in_both_orders() {
+    fn strict_composition_rejects_an_mhart_inner_case() {
         // Interleave(Interleave(x)): the outer wrapper would re-seed the
         // inner schedule.
         let mut outer_i =
@@ -1376,24 +1229,6 @@ mod tests {
         assert_eq!(err.inner, "Interleave");
         assert!(err.detail.contains("interleaving seed"), "{err}");
         assert!(err.to_string().contains("Interleave"), "{err}");
-
-        // CascadeWrap(Interleave(x)): flattening would drop the schedule.
-        let mut outer_c =
-            CascadeWrapFuzzer::new(2, InterleaveFuzzer::new(6, CascadeFuzzer::new(1, 10)));
-        let err = outer_c.try_next_case().unwrap_err();
-        assert_eq!(err.wrapper, "CascadeWrap");
-        assert_eq!(err.inner, "Interleave");
-        assert!(outer_c.try_next_round(3).is_err());
-
-        // The opposite nesting is well-formed: Interleave(CascadeWrap(x))
-        // wraps flat stitched programs into scheduled cases.
-        let mut ok = InterleaveFuzzer::new(6, CascadeWrapFuzzer::new(2, CascadeFuzzer::new(1, 10)));
-        let round = ok.try_next_round(3).unwrap();
-        assert_eq!(round.len(), 3);
-        for body in &round {
-            assert!(matches!(body, TestBody::Mhart { .. }));
-            assert_eq!(body.len(), 20, "two stitched 10-instruction programs");
-        }
     }
 
     #[test]
@@ -1403,58 +1238,6 @@ mod tests {
         assert!(!case.is_empty());
         let round = f.try_next_round(4).unwrap();
         assert_eq!(round.len(), 4);
-    }
-
-    #[test]
-    fn cascade_wrap_stitches_consecutive_inner_cases() {
-        let mut f = CascadeWrapFuzzer::new(3, CascadeFuzzer::new(2, 10));
-        let mut twin = CascadeFuzzer::new(2, 10);
-        let TestBody::Asm(flat) = f.next_case() else {
-            unreachable!("cascade-wrap emits asm");
-        };
-        let mut expected = Vec::new();
-        for _ in 0..3 {
-            let TestBody::Asm(part) = twin.next_case() else {
-                unreachable!("cascade emits asm");
-            };
-            expected.extend(part);
-        }
-        assert_eq!(flat, expected);
-        // Feedback fans out to every constituent (3 pending inner bodies).
-        assert_eq!(f.pending.front().map(Vec::len), Some(3));
-        f.feedback(&TestBody::Asm(flat), Feedback::scalar(true, 0.4));
-        assert!(f.pending.is_empty());
-    }
-
-    #[test]
-    fn cascade_wrap_lenient_path_passes_mhart_through_unchanged() {
-        let mut f = CascadeWrapFuzzer::new(2, InterleaveFuzzer::new(6, CascadeFuzzer::new(1, 10)));
-        let body = f.next_case();
-        let mut twin = InterleaveFuzzer::new(6, CascadeFuzzer::new(1, 10));
-        assert_eq!(body, twin.next_case(), "seed preserved, no flattening");
-        f.feedback(&body, Feedback::scalar(false, 0.1));
-        assert!(f.pending.is_empty());
-    }
-
-    #[test]
-    fn cascade_wrap_resumes_bit_identically_and_rejects_mid_round() {
-        let mut live = CascadeWrapFuzzer::new(2, DifuzzRtlFuzzer::new(3, 10));
-        drive(&mut live, 6);
-        let mut blob = Vec::new();
-        live.save_state(&mut (&mut blob as &mut dyn Write)).unwrap();
-        let mut resumed = CascadeWrapFuzzer::new(9, DifuzzRtlFuzzer::new(99, 4));
-        let mut cursor: &[u8] = &blob;
-        resumed.load_state(&mut cursor).unwrap();
-        for _ in 0..4 {
-            assert_eq!(live.next_case(), resumed.next_case());
-        }
-        let mut mid = CascadeWrapFuzzer::new(2, CascadeFuzzer::new(1, 10));
-        let _ = mid.next_case();
-        let mut blob = Vec::new();
-        assert!(matches!(
-            mid.save_state(&mut (&mut blob as &mut dyn Write)),
-            Err(PersistError::Unsupported(_))
-        ));
     }
 
     #[test]

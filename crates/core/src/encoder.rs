@@ -130,12 +130,6 @@ impl TokenEncoder {
         out
     }
 
-    /// Embeds a token sequence.
-    #[must_use]
-    pub fn encode_seq(&self, ts: &[Tokens]) -> Vec<Vec<f32>> {
-        ts.iter().map(|t| self.encode(t)).collect()
-    }
-
     /// Embeds a batch of token tuples through per-component batched
     /// lookups ([`Embedding::lookup_batch`]). Identical output to calling
     /// [`TokenEncoder::encode`] per token.
@@ -191,14 +185,6 @@ impl TokenEncoder {
         v.extend(self.emb_imm.params_mut());
         v.extend(self.emb_addr.params_mut());
         v
-    }
-
-    /// Restores optimiser buffers after deserialisation.
-    pub fn ensure_buffers(&mut self) {
-        self.emb_op.ensure_buffers();
-        self.emb_reg.ensure_buffers();
-        self.emb_imm.ensure_buffers();
-        self.emb_addr.ensure_buffers();
     }
 }
 

@@ -243,15 +243,6 @@ impl CaseOutcome {
         }
     }
 
-    /// Consumes the outcome, yielding the result of a completed case.
-    #[must_use]
-    pub fn into_completed(self) -> Option<CaseResult> {
-        match self {
-            CaseOutcome::Completed(result) => Some(result),
-            _ => None,
-        }
-    }
-
     /// True for [`CaseOutcome::TimedOut`] and [`CaseOutcome::Poisoned`].
     #[must_use]
     pub fn is_aborted(&self) -> bool {

@@ -137,7 +137,6 @@ pub trait WorkerLauncher {
 #[derive(Debug)]
 pub struct ProcessLauncher {
     bin: PathBuf,
-    base_args: Vec<String>,
     fault_args: BTreeMap<usize, Vec<String>>,
     children: Vec<Option<Child>>,
 }
@@ -148,17 +147,9 @@ impl ProcessLauncher {
     pub fn new(bin: impl Into<PathBuf>) -> ProcessLauncher {
         ProcessLauncher {
             bin: bin.into(),
-            base_args: Vec::new(),
             fault_args: BTreeMap::new(),
             children: Vec::new(),
         }
-    }
-
-    /// Extra arguments appended to every launch.
-    #[must_use]
-    pub fn with_args(mut self, args: Vec<String>) -> ProcessLauncher {
-        self.base_args = args;
-        self
     }
 
     /// Extra arguments appended only to worker `index`'s **first**
@@ -180,7 +171,6 @@ impl WorkerLauncher for ProcessLauncher {
             .arg(addr.to_string())
             .arg("--worker")
             .arg(index.to_string())
-            .args(&self.base_args)
             .stdin(Stdio::null());
         if let Some(fault) = self.fault_args.remove(&index) {
             cmd.args(fault);

@@ -546,16 +546,6 @@ impl InstructionGenerator {
             scratch: Scratch::default(),
         })
     }
-
-    /// Restores optimiser buffers after deserialisation.
-    pub fn ensure_buffers(&mut self) {
-        self.encoder.ensure_buffers();
-        self.lstm.ensure_buffers();
-        for head in &mut self.heads {
-            head.l1.ensure_buffers();
-            head.l2.ensure_buffers();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,8 @@
 use std::io::{Read, Write};
 
 use hfl_nn::persist::{
-    corrupt, read_bool, read_f32, read_f32_vec, read_string, read_u32, read_u64, read_usize,
-    write_bool, write_f32, write_f32_vec, write_string, write_u32, write_u64, write_usize, Codec,
-    PersistError,
+    corrupt, read_bool, read_f32, read_string, read_u32, read_u64, read_usize, write_bool,
+    write_f32, write_string, write_u32, write_u64, write_usize, Codec, PersistError,
 };
 use hfl_nn::{Embedding, Linear, Lstm};
 use hfl_riscv::{Csr, Instruction, Opcode};
@@ -567,22 +566,6 @@ pub fn read_rng<R: Read>(r: &mut R) -> Result<rand::rngs::StdRng, PersistError> 
         *word = read_u64(r)?;
     }
     Ok(rand::rngs::StdRng::from_state(state))
-}
-
-/// Writes an `f32` slice of a fixed, caller-known length.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn write_f32s<W: Write>(w: &mut W, values: &[f32]) -> Result<(), PersistError> {
-    write_f32_vec(w, values)
-}
-
-/// Reads a slice written by [`write_f32s`].
-///
-/// # Errors
-/// Returns a [`PersistError`] on implausible length.
-pub fn read_f32s<R: Read>(r: &mut R) -> Result<Vec<f32>, PersistError> {
-    read_f32_vec(r)
 }
 
 #[cfg(test)]

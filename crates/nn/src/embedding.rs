@@ -71,11 +71,6 @@ impl Embedding {
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.table]
     }
-
-    /// Restores optimiser buffers after deserialisation.
-    pub fn ensure_buffers(&mut self) {
-        self.table.ensure_buffers();
-    }
 }
 
 #[cfg(test)]

@@ -114,12 +114,6 @@ impl Linear {
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.w, &mut self.b]
     }
-
-    /// Restores optimiser buffers after deserialisation.
-    pub fn ensure_buffers(&mut self) {
-        self.w.ensure_buffers();
-        self.b.ensure_buffers();
-    }
 }
 
 #[cfg(test)]

@@ -213,13 +213,6 @@ impl LstmCell {
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.wx, &mut self.wh, &mut self.b]
     }
-
-    /// Restores optimiser buffers after deserialisation.
-    pub fn ensure_buffers(&mut self) {
-        self.wx.ensure_buffers();
-        self.wh.ensure_buffers();
-        self.b.ensure_buffers();
-    }
 }
 
 /// Running hidden/cell state for streaming generation.
@@ -421,13 +414,6 @@ impl Lstm {
             .iter_mut()
             .flat_map(LstmCell::params_mut)
             .collect()
-    }
-
-    /// Restores optimiser buffers after deserialisation.
-    pub fn ensure_buffers(&mut self) {
-        for cell in &mut self.cells {
-            cell.ensure_buffers();
-        }
     }
 }
 

@@ -116,14 +116,6 @@ impl Tensor {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// One row as a mutable slice (used for embedding-table updates).
-    ///
-    /// # Panics
-    /// Panics if `row` is out of bounds.
-    pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
-        &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
     /// The gradient row for `row`.
     ///
     /// # Panics
@@ -255,21 +247,6 @@ impl Tensor {
         self.grad.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    /// Restores optimiser/gradient buffers sized to `data` (used after
-    /// hand-built or partially populated tensors).
-    pub fn ensure_buffers(&mut self) {
-        let n = self.data.len();
-        if self.grad.len() != n {
-            self.grad = vec![0.0; n];
-        }
-        if self.m.len() != n {
-            self.m = vec![0.0; n];
-        }
-        if self.v.len() != n {
-            self.v = vec![0.0; n];
-        }
-    }
-
     /// Squared L2 norm of the gradient.
     #[must_use]
     pub fn grad_norm_sq(&self) -> f32 {
@@ -351,20 +328,5 @@ mod tests {
         t.matvec_batch(&x, 1, &mut out);
         assert_eq!(out, t.matvec(&x), "no stale weights after a direct write");
         assert_eq!(out[0], 42.0 * 0.5 + t.at(0, 1) * -0.25 + t.at(0, 2));
-    }
-
-    #[test]
-    fn checkpoint_reload_restores_buffers() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = Tensor::xavier(4, 4, &mut rng);
-        // A tensor with missing transient buffers gets them rebuilt.
-        let mut stripped = t.clone();
-        stripped.grad.clear();
-        stripped.m.clear();
-        stripped.v.clear();
-        stripped.ensure_buffers();
-        assert_eq!(stripped.grad.len(), t.len());
-        assert_eq!(stripped.m.len(), t.len());
-        assert_eq!(stripped.data, t.data);
     }
 }

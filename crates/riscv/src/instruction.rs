@@ -130,24 +130,6 @@ impl Instruction {
         Self::new(opcode, 0, 0, 0, 0, 0, Csr::FFLAGS)
     }
 
-    /// Typed view of `rd` as an integer register.
-    #[must_use]
-    pub fn rd_int(&self) -> Reg {
-        Reg::from_index(self.rd)
-    }
-
-    /// Typed view of `rs1` as an integer register.
-    #[must_use]
-    pub fn rs1_int(&self) -> Reg {
-        Reg::from_index(self.rs1)
-    }
-
-    /// Typed view of `rs2` as an integer register.
-    #[must_use]
-    pub fn rs2_int(&self) -> Reg {
-        Reg::from_index(self.rs2)
-    }
-
     /// Expands a pseudo-instruction into its real form; identity for real
     /// instructions.
     #[must_use]

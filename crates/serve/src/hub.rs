@@ -97,12 +97,6 @@ impl EventHub {
         self.cond.notify_all();
     }
 
-    /// Whether the stream has ended.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("hub lock").closed
-    }
-
     /// Total lines ever published.
     #[must_use]
     pub fn published(&self) -> u64 {

@@ -19,14 +19,6 @@ pub struct SseFrame {
     pub data: String,
 }
 
-impl SseFrame {
-    /// Whether this is a plain data frame (no `event:` override).
-    #[must_use]
-    pub fn is_data(&self) -> bool {
-        self.event.is_none()
-    }
-}
-
 /// Encodes one payload as an SSE frame. Embedded newlines become
 /// multiple `data:` lines so any spec-compliant client reassembles the
 /// original payload byte for byte.
