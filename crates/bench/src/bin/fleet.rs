@@ -41,7 +41,7 @@ use hfl::fleet_dist::{
     run_fleet_dist, DistConfig, ProcessLauncher, ThreadLauncher, WorkerFault, WorkerLauncher,
 };
 use hfl::obs::{read_jsonl, replay_fleet, JsonlSink, SinkHandle};
-use hfl::spec::{parse_core, FuzzerKind, MemberSpec};
+use hfl::spec::{parse_core, MemberSpec};
 use hfl::FleetResult;
 use hfl_bench::{arg_num, arg_value};
 use hfl_dut::CoreKind;
@@ -49,23 +49,6 @@ use hfl_dut::CoreKind;
 fn fail(msg: &str) -> ! {
     eprintln!("fleet: FAIL: {msg}");
     std::process::exit(1);
-}
-
-/// Parses `--members difuzz:5,thehuzz:9` into [`MemberSpec`]s on `core`.
-fn parse_members(spec: &str, core: CoreKind) -> Vec<MemberSpec> {
-    spec.split(',')
-        .map(|pair| {
-            let Some((name, seed)) = pair.split_once(':') else {
-                fail(&format!("--members entry {pair:?} is not fuzzer:seed"));
-            };
-            let seed = seed
-                .parse::<u64>()
-                .unwrap_or_else(|_| fail(&format!("--members seed {seed:?} is not a number")));
-            let kind =
-                FuzzerKind::parse(name).unwrap_or_else(|err| fail(&format!("--members: {err}")));
-            MemberSpec::new(kind, seed, core)
-        })
-        .collect()
 }
 
 /// The `--fault-*` flags as a [`WorkerFault`] plus its target index.
@@ -136,7 +119,8 @@ fn main() {
         fail("--fault-worker needs --distributed");
     }
 
-    let specs = parse_members(&members_spec, core);
+    let specs = MemberSpec::parse_list(&members_spec, core)
+        .unwrap_or_else(|err| fail(&format!("--members: {err}")));
     if specs.is_empty() {
         fail("--members is empty");
     }

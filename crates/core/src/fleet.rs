@@ -751,6 +751,41 @@ pub(crate) trait Members {
     fn fuzzer_blobs(&self) -> Result<Cow<'_, [Vec<u8>]>, RunError>;
 }
 
+/// Runs one member-campaign slice of both fleet runtimes: silent rounds
+/// until `state` has executed `budget` more cases, returning the cases
+/// they harvested. `cases = target` makes the round engine stop exactly
+/// at the epoch boundary and sample the member's curve exactly once there.
+pub(crate) fn run_slice(
+    fuzzer: &mut dyn Fuzzer,
+    pool: &mut ExecPool,
+    run: RunConfig,
+    budget: u64,
+    metrics: &mut Metrics,
+    state: &mut CampaignState,
+) -> Result<Vec<HarvestedCase>, RunError> {
+    let target = state.executed + budget;
+    let member_cfg = CampaignConfig {
+        cases: target,
+        sample_every: target,
+        run,
+    };
+    let silent = SinkHandle::null();
+    let mut harvest = Vec::new();
+    while state.executed < target {
+        run_round(
+            fuzzer,
+            pool,
+            &member_cfg,
+            run.threads,
+            &silent,
+            metrics,
+            state,
+            Some(&mut harvest),
+        )?;
+    }
+    Ok(harvest)
+}
+
 /// The in-process transport: live [`FleetMember`]s with one execution
 /// pool each, whose slices run inline on the calling thread in member
 /// order.
@@ -758,7 +793,6 @@ struct InProcess<'a> {
     members: &'a mut [FleetMember],
     pools: Vec<ExecPool>,
     run: RunConfig,
-    silent: SinkHandle,
 }
 
 impl Members for InProcess<'_> {
@@ -788,37 +822,24 @@ impl Members for InProcess<'_> {
         states: &mut [CampaignState],
         metrics: &mut Metrics,
     ) -> Result<Vec<Option<Slice>>, RunError> {
-        let mut slices = Vec::with_capacity(budgets.len());
         let members = self.members.iter_mut().zip(&mut self.pools);
-        for ((member, pool), (state, &budget)) in members.zip(states.iter_mut().zip(budgets)) {
-            let target = state.executed + budget;
-            // One member-campaign slice: `cases = target` makes the round
-            // engine stop exactly at the epoch boundary and sample the
-            // member's curve exactly once there.
-            let member_cfg = CampaignConfig {
-                cases: target,
-                sample_every: target,
-                run: self.run,
-            };
-            let mut harvest: Vec<HarvestedCase> = Vec::new();
-            while state.executed < target {
-                run_round(
+        members
+            .zip(states.iter_mut().zip(budgets))
+            .map(|((member, pool), (state, &budget))| {
+                let harvest = run_slice(
                     member.fuzzer.as_mut(),
                     pool,
-                    &member_cfg,
-                    self.run.threads,
-                    &self.silent,
+                    self.run,
+                    budget,
                     metrics,
                     state,
-                    Some(&mut harvest),
                 )?;
-            }
-            slices.push(Some(Slice {
-                granted: budget,
-                harvest,
-            }));
-        }
-        Ok(slices)
+                Ok(Some(Slice {
+                    granted: budget,
+                    harvest,
+                }))
+            })
+            .collect()
     }
 
     fn fuzzer_blobs(&self) -> Result<Cow<'_, [Vec<u8>]>, RunError> {
@@ -1087,7 +1108,6 @@ pub fn run_fleet(members: &mut [FleetMember], spec: &FleetSpec) -> Result<FleetR
         members,
         pools,
         run: spec.config().run,
-        silent: SinkHandle::null(),
     };
     drive(&mut slots, &idents, spec)
 }

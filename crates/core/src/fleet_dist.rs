@@ -57,13 +57,13 @@ use std::time::{Duration, Instant};
 use hfl_dut::CoverageMap;
 use hfl_nn::persist::{corrupt, PersistError};
 
-use crate::campaign::{
-    run_round, CampaignConfig, CampaignState, HarvestedCase, RunConfig, RunError,
-};
+use crate::campaign::{CampaignState, HarvestedCase, RunConfig, RunError};
 use crate::exec::ExecPool;
-use crate::fleet::{check_line_up, drive, FleetResult, FleetSpec, MemberIdent, Members, Slice};
+use crate::fleet::{
+    check_line_up, drive, run_slice, FleetResult, FleetSpec, MemberIdent, Members, Slice,
+};
 use crate::harness::Executor;
-use crate::obs::{Metrics, SinkHandle};
+use crate::obs::Metrics;
 use crate::spec::MemberSpec;
 use crate::wire::{Frame, Payload, WireError};
 
@@ -322,7 +322,6 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
     let mut pool = ExecPool::new(executor, threads);
     let map_len = pool.coverage_map().len();
     let mut fuzzer = kind.build(seed);
-    let silent = SinkHandle::null();
     let mut metrics = Metrics::new();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -365,32 +364,18 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
                 }
                 let mut st = CampaignState::load(&mut state.as_slice(), map_len)?;
                 fuzzer.load_state(&mut fuzzer_state.as_slice())?;
-                let target = st.executed + budget;
-                // Mirrors run_fleet's member slice: `cases = target`
-                // stops the round engine exactly at the epoch boundary
-                // and samples the member curve exactly once there.
-                let member_cfg = CampaignConfig {
-                    cases: target,
-                    sample_every: target,
+                // A composition failure is a protocol-level fault of this
+                // worker's member pairing: report it upstream instead of
+                // panicking the process.
+                let harvest = run_slice(
+                    fuzzer.as_mut(),
+                    &mut pool,
                     run,
-                };
-                let mut harvest: Vec<HarvestedCase> = Vec::new();
-                while st.executed < target {
-                    // A composition failure is a protocol-level fault of
-                    // this worker's member pairing: report it upstream
-                    // instead of panicking the process.
-                    run_round(
-                        fuzzer.as_mut(),
-                        &mut pool,
-                        &member_cfg,
-                        threads,
-                        &silent,
-                        &mut metrics,
-                        &mut st,
-                        Some(&mut harvest),
-                    )
-                    .map_err(|e| WireError::Protocol(e.to_string()))?;
-                }
+                    budget,
+                    &mut metrics,
+                    &mut st,
+                )
+                .map_err(|e| WireError::Protocol(e.to_string()))?;
                 let mut state_blob = Vec::new();
                 st.save(&mut state_blob)?;
                 let mut fuzzer_blob = Vec::new();

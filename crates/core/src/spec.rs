@@ -187,6 +187,26 @@ impl MemberSpec {
     pub fn build_member(&self) -> FleetMember {
         FleetMember::new(self.display_name(), self.core, self.fuzzer.build(self.seed))
     }
+
+    /// Parses a `fuzzer:seed,…` member list (`difuzz:5,cascade:9`), every
+    /// member on `core`.
+    ///
+    /// # Errors
+    /// Names the entry that is not `fuzzer:seed`, the seed that is not a
+    /// number, or the unknown fuzzer.
+    pub fn parse_list(list: &str, core: CoreKind) -> Result<Vec<MemberSpec>, String> {
+        list.split(',')
+            .map(|pair| {
+                let (name, seed) = pair
+                    .split_once(':')
+                    .ok_or_else(|| format!("member {pair:?} is not fuzzer:seed"))?;
+                let seed = seed
+                    .parse()
+                    .map_err(|_| format!("member seed {seed:?} is not a number"))?;
+                Ok(MemberSpec::new(FuzzerKind::parse(name)?, seed, core))
+            })
+            .collect()
+    }
 }
 
 /// Spec fields for a single-fuzzer campaign run.
@@ -359,19 +379,12 @@ impl RunRequest {
                 })
             }
             Some("fleet") => {
-                let members_spec = fields
-                    .str("members")
-                    .ok_or("fleet spec needs \"members\"")?;
-                let mut members = Vec::new();
-                for pair in members_spec.split(',') {
-                    let (name, seed) = pair
-                        .split_once(':')
-                        .ok_or_else(|| format!("member {pair:?} is not fuzzer:seed"))?;
-                    let seed: u64 = seed
-                        .parse()
-                        .map_err(|_| format!("member seed {seed:?} is not a number"))?;
-                    members.push(MemberSpec::new(FuzzerKind::parse(name)?, seed, core));
-                }
+                let members = MemberSpec::parse_list(
+                    fields
+                        .str("members")
+                        .ok_or("fleet spec needs \"members\"")?,
+                    core,
+                )?;
                 let epochs = fields.u64("epochs").ok_or("fleet spec needs \"epochs\"")?;
                 let cases_per_epoch = fields
                     .u64("cases_per_epoch")
@@ -420,6 +433,26 @@ mod tests {
         for request in [campaign, fleet] {
             let line = request.to_json();
             assert_eq!(RunRequest::from_json(&line), Ok(request), "{line}");
+        }
+    }
+
+    #[test]
+    fn member_lists_parse_in_order_and_name_the_bad_entry() {
+        assert_eq!(
+            MemberSpec::parse_list("difuzz:5,cascade:9", CoreKind::Boom),
+            Ok(vec![
+                MemberSpec::new(FuzzerKind::Difuzz, 5, CoreKind::Boom),
+                MemberSpec::new(FuzzerKind::Cascade, 9, CoreKind::Boom),
+            ])
+        );
+        for (list, needle) in [
+            ("difuzz", "fuzzer:seed"),
+            ("difuzz:x", "not a number"),
+            ("nope:1", "unknown fuzzer"),
+            ("difuzz:1,", "fuzzer:seed"),
+        ] {
+            let err = MemberSpec::parse_list(list, CoreKind::Rocket).expect_err(list);
+            assert!(err.contains(needle), "{list}: {err}");
         }
     }
 
