@@ -12,9 +12,9 @@
 //!   coverage tool would,
 //! - [`bugs`] injects the paper's four novel CVA6 vulnerabilities and the
 //!   previously-known defects on all three cores,
-//! - [`mhart`] lifts the DUT to a two-hart system configuration on the
-//!   `hfl-sys` discrete-event scheduler, with a shared-memory bus and a
-//!   timer device, for concurrency-defect fuzzing.
+//! - [`mhart`] lifts the DUT to a two-hart system configuration driven by
+//!   a seeded event table, with a shared-memory bus and a timer device,
+//!   for concurrency-defect fuzzing.
 //!
 //! # Examples
 //!
