@@ -437,26 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn member_lists_parse_in_order_and_name_the_bad_entry() {
-        assert_eq!(
-            MemberSpec::parse_list("difuzz:5,cascade:9", CoreKind::Boom),
-            Ok(vec![
-                MemberSpec::new(FuzzerKind::Difuzz, 5, CoreKind::Boom),
-                MemberSpec::new(FuzzerKind::Cascade, 9, CoreKind::Boom),
-            ])
-        );
-        for (list, needle) in [
-            ("difuzz", "fuzzer:seed"),
-            ("difuzz:x", "not a number"),
-            ("nope:1", "unknown fuzzer"),
-            ("difuzz:1,", "fuzzer:seed"),
-        ] {
-            let err = MemberSpec::parse_list(list, CoreKind::Rocket).expect_err(list);
-            assert!(err.contains(needle), "{list}: {err}");
-        }
-    }
-
-    #[test]
     fn invalid_requests_name_the_problem() {
         for (body, needle) in [
             ("nonsense", "flat JSON"),
@@ -483,6 +463,14 @@ mod tests {
             (
                 r#"{"type":"job_spec","kind":"fleet","members":"difuzz"}"#,
                 "fuzzer:seed",
+            ),
+            (
+                r#"{"type":"job_spec","kind":"fleet","members":"difuzz:x"}"#,
+                "not a number",
+            ),
+            (
+                r#"{"type":"job_spec","kind":"fleet","members":"difuzz:1,nope:2"}"#,
+                "unknown fuzzer",
             ),
             (
                 r#"{"type":"job_spec","kind":"fleet","members":"difuzz:1","epochs":0,"cases_per_epoch":4}"#,

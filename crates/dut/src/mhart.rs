@@ -181,7 +181,6 @@ fn mix3(seed: u64, a: u64, b: u64) -> u64 {
 /// picks. The same seed therefore replays the same interleaving, while
 /// another seed re-permutes every same-tick decision of the run. The slot
 /// tail keeps the order total should two ranks ever collide.
-#[derive(Debug)]
 struct EventTable {
     seed: u64,
     /// Tick of the most recently popped event (0 before the first pop).
