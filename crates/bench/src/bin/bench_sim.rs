@@ -6,7 +6,7 @@
 //! predecoded image with the superinstruction block path), the
 //! instrumented DUT per core on the predecoded dispatch, and end-to-end
 //! difftest cases/sec through the `Executor` (assemble + predecode cache
-//! + DUT + GRM + compare).
+//! + DUT + the GRM checking the DUT's trace).
 //!
 //! ```text
 //! cargo run --release -p hfl-bench --bin bench_sim -- \

@@ -14,8 +14,8 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use hfl_grm::cpu::HaltReason;
-use hfl_grm::{ArchSnapshot, Trace};
+use hfl_grm::cpu::{HaltReason, StepOutcome};
+use hfl_grm::{ArchSnapshot, Cpu, PredecodedProgram, Program, Trace, TraceEntry};
 use hfl_riscv::{decode, Opcode};
 
 /// Classification of a GRM/DUT divergence.
@@ -154,6 +154,10 @@ impl SignatureSet {
 /// tainted); if the traces agree in full, final architectural state is
 /// compared field by field. The `fcsr` comparison is what exposes
 /// flag-only bugs like the paper's V4.
+///
+/// Campaigns record no GRM trace: the executor steps the GRM as a
+/// checker over the DUT's trace instead, which returns the same
+/// mismatches.
 #[must_use]
 pub fn compare(
     grm_trace: &Trace,
@@ -163,83 +167,155 @@ pub fn compare(
     dut_halt: HaltReason,
     dut_arch: &ArchSnapshot,
 ) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    for (g, d) in grm_trace.iter().zip(dut_trace.iter()) {
-        if g.pc != d.pc {
-            out.push(Mismatch {
-                kind: MismatchKind::ControlFlow,
-                pc: g.pc,
-                word: g.word,
-                opcode: decode(g.word).ok().map(|i| i.opcode),
-                detail: format!("grm at {:#x}, dut at {:#x}", g.pc, d.pc),
-            });
-            return out;
-        }
-        let opcode = decode(g.word).ok().map(|i| i.opcode);
-        let g_cause = g.trap.map(|t| t.cause);
-        let d_cause = d.trap.map(|t| t.cause);
-        if g.trap != d.trap {
-            out.push(Mismatch {
-                kind: MismatchKind::Trap {
-                    grm_cause: g_cause,
-                    dut_cause: d_cause,
-                },
-                pc: g.pc,
-                word: g.word,
-                opcode,
-                detail: format!("grm trap {:?}, dut trap {:?}", g.trap, d.trap),
-            });
-            return out;
-        }
-        if g.rd_write != d.rd_write {
-            out.push(Mismatch {
-                kind: MismatchKind::RegWrite,
-                pc: g.pc,
-                word: g.word,
-                opcode,
-                detail: format!("grm wrote {:?}, dut wrote {:?}", g.rd_write, d.rd_write),
-            });
-            return out;
-        }
-        if g.mem != d.mem {
-            out.push(Mismatch {
-                kind: MismatchKind::MemOp,
-                pc: g.pc,
-                word: g.word,
-                opcode,
-                detail: format!("grm mem {:?}, dut mem {:?}", g.mem, d.mem),
-            });
-            return out;
-        }
-    }
-    // One trace is a strict prefix: a crash or divergent halt.
-    if grm_trace.len() != dut_trace.len()
-        || matches!(dut_halt, HaltReason::Crash(_)) && !matches!(grm_halt, HaltReason::Crash(_))
+    if let Some(m) = grm_trace
+        .iter()
+        .zip(dut_trace)
+        .find_map(|(g, d)| entry_mismatch(g, d))
     {
-        let (pc, word) = diverging_tail(grm_trace, dut_trace);
-        let kind = if matches!(dut_halt, HaltReason::Crash(_)) {
-            MismatchKind::Crash
-        } else {
-            MismatchKind::ControlFlow
-        };
-        out.push(Mismatch {
-            kind,
+        return vec![m];
+    }
+    let tail = diverging_tail(grm_trace, dut_trace);
+    run_end(
+        (grm_halt, grm_trace.len(), grm_arch),
+        (dut_halt, dut_trace.len(), dut_arch),
+        tail,
+    )
+}
+
+/// Checks the GRM against the DUT's trace of the same program as it runs:
+/// a fresh GRM that records no trace of its own steps over `image` (the
+/// predecoded `program`) under the same `max_steps` budget, and each
+/// entry it logs is compared with the DUT's entry at the same index.
+///
+/// The run stops at the first divergent entry, since [`compare`] reports
+/// nothing after it. When every entry both sides logged agrees, the GRM
+/// runs to its own halt and the end-of-run rules of [`compare`] apply, so
+/// the result equals [`compare`] over the two full traces.
+pub(crate) fn check(
+    program: &Program,
+    image: &PredecodedProgram,
+    max_steps: u64,
+    dut_trace: &Trace,
+    dut_halt: HaltReason,
+    dut_arch: &ArchSnapshot,
+) -> Vec<Mismatch> {
+    let mut grm = Cpu::new();
+    grm.trace_enabled = false;
+    grm.load_program(program);
+    let log = &dut_trace.entries;
+    // Entries the GRM logged, and the `(pc, word)` of its entry at the
+    // DUT log's length, or of its last entry when it logs no more.
+    let mut logged = 0usize;
+    let mut tail = (0, 0);
+    let mut steps = 0u64;
+    let grm_halt = loop {
+        if steps >= max_steps {
+            break HaltReason::StepBudget;
+        }
+        let info = grm.step_predecoded(image);
+        if let Some(g) = info.trace_entry() {
+            if let Some(d) = log.get(logged) {
+                if let Some(m) = entry_mismatch(&g, d) {
+                    return vec![m];
+                }
+            }
+            if logged <= log.len() {
+                tail = (g.pc, g.word);
+            }
+            logged += 1;
+        }
+        match info.outcome {
+            StepOutcome::Halted(reason) => break reason,
+            _ => steps += 1,
+        }
+    };
+    if let Some(d) = log.get(logged) {
+        tail = (d.pc, d.word);
+    }
+    run_end(
+        (grm_halt, logged, &grm.arch_snapshot()),
+        (dut_halt, log.len(), dut_arch),
+        tail,
+    )
+}
+
+/// The first difference between two entries at the same trace index, in
+/// the order pc, trap, destination write, memory operation. The raw word
+/// is not compared, and it is decoded only for a reported mismatch.
+fn entry_mismatch(g: &TraceEntry, d: &TraceEntry) -> Option<Mismatch> {
+    let (kind, detail) = if g.pc != d.pc {
+        (
+            MismatchKind::ControlFlow,
+            format!("grm at {:#x}, dut at {:#x}", g.pc, d.pc),
+        )
+    } else if g.trap != d.trap {
+        (
+            MismatchKind::Trap {
+                grm_cause: g.trap.map(|t| t.cause),
+                dut_cause: d.trap.map(|t| t.cause),
+            },
+            format!("grm trap {:?}, dut trap {:?}", g.trap, d.trap),
+        )
+    } else if g.rd_write != d.rd_write {
+        (
+            MismatchKind::RegWrite,
+            format!("grm wrote {:?}, dut wrote {:?}", g.rd_write, d.rd_write),
+        )
+    } else if g.mem != d.mem {
+        (
+            MismatchKind::MemOp,
+            format!("grm mem {:?}, dut mem {:?}", g.mem, d.mem),
+        )
+    } else {
+        return None;
+    };
+    Some(Mismatch {
+        kind,
+        pc: g.pc,
+        word: g.word,
+        opcode: opcode_of(g.word),
+        detail,
+    })
+}
+
+fn opcode_of(word: u32) -> Option<Opcode> {
+    decode(word).ok().map(|i| i.opcode)
+}
+
+/// The end-of-run rules, once every entry both traces hold agrees. Each
+/// side is `(halt, trace length, final state)`. If one trace is a strict
+/// prefix of the other, or only the DUT crashed, the one mismatch sits
+/// at `tail` (see [`diverging_tail`]); otherwise the final states are
+/// compared.
+fn run_end(
+    (grm_halt, grm_len, grm_arch): (HaltReason, usize, &ArchSnapshot),
+    (dut_halt, dut_len, dut_arch): (HaltReason, usize, &ArchSnapshot),
+    (pc, word): (u64, u32),
+) -> Vec<Mismatch> {
+    let dut_crashed = matches!(dut_halt, HaltReason::Crash(_));
+    if grm_len != dut_len || dut_crashed && !matches!(grm_halt, HaltReason::Crash(_)) {
+        return vec![Mismatch {
+            kind: if dut_crashed {
+                MismatchKind::Crash
+            } else {
+                MismatchKind::ControlFlow
+            },
             pc,
             word,
-            opcode: decode(word).ok().map(|i| i.opcode),
+            opcode: opcode_of(word),
             detail: format!(
-                "grm halted {grm_halt:?} after {} steps, dut halted {dut_halt:?} after {} steps",
-                grm_trace.len(),
-                dut_trace.len()
+                "grm halted {grm_halt:?} after {grm_len} steps, dut halted {dut_halt:?} after {dut_len} steps"
             ),
-        });
-        return out;
+        }];
     }
-    // Full trace agreement: compare final state.
+    let mut out = Vec::new();
     compare_final_state(grm_arch, dut_arch, &mut out);
     out
 }
 
+/// Where a strict-prefix or crash mismatch sits: the longer trace's
+/// entry at the shorter one's length, or the GRM's last entry when the
+/// lengths are equal.
 fn diverging_tail(grm: &Trace, dut: &Trace) -> (u64, u32) {
     let shorter = if grm.len() < dut.len() { grm } else { dut };
     let longer = if grm.len() < dut.len() { dut } else { grm };
@@ -465,6 +541,82 @@ mod tests {
         assert_eq!(set.unique(), 1);
         assert_eq!(set.total_mismatches, 2);
         assert!(set.contains(m.signature()));
+    }
+
+    /// `check` equals `compare` over full traces for DUT logs edited from
+    /// the GRM's own: a divergent entry in each compared field, every
+    /// prefix and an extension, each under each halt reason (a crash
+    /// included), and a different final state; at a budget that lets the
+    /// program halt and at one that cuts it off. The single-hart cores
+    /// never log past the GRM's halt, so only an edited log reaches that
+    /// end.
+    #[test]
+    fn check_equals_compare_on_edited_dut_logs() {
+        use hfl_grm::MemOp;
+        use hfl_riscv::{Instruction, Reg};
+        let program = Program::assemble(&[
+            Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 7),
+            Instruction::s(Opcode::Sd, Reg::X10, 0, Reg::X5),
+            Instruction::i(Opcode::Ld, Reg::X6, Reg::X0, 3),
+            Instruction::r(Opcode::Add, Reg::X11, Reg::X10, Reg::X10),
+        ]);
+        let image = PredecodedProgram::new(&program);
+        for max_steps in [1_000, 3] {
+            let mut grm = Cpu::new();
+            grm.load_program(&program);
+            let run = grm.run_predecoded(&image, max_steps);
+            let (full, grm_arch) = (grm.trace.clone(), grm.arch_snapshot());
+            let n = full.len();
+            let mut logs = Vec::new();
+            for i in 0..n {
+                let edits: [fn(&mut TraceEntry); 5] = [
+                    |e| e.pc += 4,
+                    |e| e.trap = Some(Trap { cause: 9, tval: 0 }),
+                    |e| e.rd_write = Some((false, 31, 1)),
+                    |e| {
+                        e.mem = Some(MemOp {
+                            addr: 8,
+                            size: 1,
+                            is_store: true,
+                            value: 0,
+                        });
+                    },
+                    |e| e.word ^= 1,
+                ];
+                for edit in edits {
+                    let mut log = full.clone();
+                    edit(&mut log.entries[i]);
+                    logs.push(log);
+                }
+            }
+            for len in 0..n {
+                logs.push(trace(full.entries[..len].to_vec()));
+            }
+            let mut longer = full.clone();
+            longer
+                .entries
+                .extend([entry(0x8000_0100, 0x13), entry(0x8000_0104, 0x13)]);
+            logs.extend([full.clone(), longer]);
+            let mut changed = grm_arch.clone();
+            changed.x[11] ^= 1;
+            let halts = [
+                run.reason,
+                HaltReason::ReachedHaltPc,
+                HaltReason::StepBudget,
+                HaltReason::Crash("store to executing cache line"),
+            ];
+            for log in &logs {
+                for dut_halt in halts {
+                    for dut_arch in [&grm_arch, &changed] {
+                        assert_eq!(
+                            check(&program, &image, max_steps, log, dut_halt, dut_arch),
+                            compare(&full, run.reason, &grm_arch, log, dut_halt, dut_arch),
+                            "budget {max_steps}, dut halt {dut_halt:?}, log {log:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -491,9 +491,9 @@ impl CoverageBatch {
 ///     TestBody::Asm(vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 1)]),
 ///     TestBody::Asm(vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 2)]),
 /// ];
-/// let results = pool.run_batch(&batch);
-/// assert_eq!(results[0].grm_arch.x[10], 1);
-/// assert_eq!(results[1].grm_arch.x[10], 2);
+/// let outcomes = pool.run_batch_contained(&batch);
+/// assert_eq!(outcomes[0].completed().unwrap().dut.arch.x[10], 1);
+/// assert_eq!(outcomes[1].completed().unwrap().dut.arch.x[10], 2);
 /// ```
 #[derive(Debug)]
 pub struct ExecPool {
@@ -576,30 +576,6 @@ impl ExecPool {
         self.workers[0].coverage_map()
     }
 
-    /// Executes one batch, returning results in submission order.
-    ///
-    /// This is the uncontained path: worker panics propagate to the
-    /// caller. Campaigns use [`ExecPool::run_batch_contained`].
-    pub fn run_batch(&mut self, bodies: &[TestBody]) -> Vec<CaseResult> {
-        let started = Instant::now();
-        let timed = run_ordered(&mut self.workers, bodies, |worker, body| {
-            let case_started = Instant::now();
-            let result = worker.run(body);
-            (result, case_started.elapsed())
-        });
-        self.account_batch(started, bodies.len());
-        let mut batch_busy = Duration::ZERO;
-        let results: Vec<CaseResult> = timed
-            .into_iter()
-            .map(|(result, spent)| {
-                batch_busy += spent;
-                result
-            })
-            .collect();
-        self.account_busy(batch_busy);
-        results
-    }
-
     /// Executes one batch with fault containment, returning a
     /// [`CaseOutcome`] per body in submission order.
     ///
@@ -631,7 +607,7 @@ impl ExecPool {
                 (outcome, case_started.elapsed())
             },
         );
-        self.account_batch(started, bodies.len());
+        let batch_wall = started.elapsed();
         let mut batch_busy = Duration::ZERO;
         let outcomes: Vec<CaseOutcome> = timed
             .into_iter()
@@ -640,32 +616,22 @@ impl ExecPool {
                 outcome
             })
             .collect();
-        self.account_busy(batch_busy);
-        outcomes
-    }
-
-    fn account_batch(&mut self, started: Instant, cases: usize) {
-        let batch_wall = started.elapsed();
         self.exec_time += batch_wall;
-        self.batches += 1;
-        self.cases += cases as u64;
-        self.last_batch = BatchStats {
-            cases: cases as u64,
-            exec_seconds: batch_wall.as_secs_f64(),
-            busy_seconds: 0.0,
-            occupancy: 0.0,
-        };
-    }
-
-    fn account_busy(&mut self, batch_busy: Duration) {
         self.busy_time += batch_busy;
-        let exec_seconds = self.last_batch.exec_seconds;
-        self.last_batch.busy_seconds = batch_busy.as_secs_f64();
-        self.last_batch.occupancy = if exec_seconds > 0.0 {
-            batch_busy.as_secs_f64() / (exec_seconds * self.workers.len() as f64)
-        } else {
-            0.0
+        self.batches += 1;
+        self.cases += bodies.len() as u64;
+        let exec_seconds = batch_wall.as_secs_f64();
+        self.last_batch = BatchStats {
+            cases: bodies.len() as u64,
+            exec_seconds,
+            busy_seconds: batch_busy.as_secs_f64(),
+            occupancy: if exec_seconds > 0.0 {
+                batch_busy.as_secs_f64() / (exec_seconds * self.workers.len() as f64)
+            } else {
+                0.0
+            },
         };
+        outcomes
     }
 
     /// Lifetime case/batch counters (`(batches, cases)`), used by
@@ -684,8 +650,9 @@ impl ExecPool {
         self.cases = cases;
     }
 
-    /// Utilisation counters of the most recent [`ExecPool::run_batch`]
-    /// call (zeroed until the first batch runs).
+    /// Utilisation counters of the most recent
+    /// [`ExecPool::run_batch_contained`] call (zeroed until the first
+    /// batch runs).
     #[must_use]
     pub fn last_batch(&self) -> BatchStats {
         self.last_batch
@@ -781,6 +748,17 @@ mod tests {
         });
     }
 
+    /// Runs `batch` through the pool, none of whose cases may abort.
+    fn completed(pool: &mut ExecPool, batch: &[TestBody]) -> Vec<CaseResult> {
+        pool.run_batch_contained(batch)
+            .into_iter()
+            .map(|outcome| match outcome {
+                CaseOutcome::Completed(result) => result,
+                other => panic!("no faults injected, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn pool_results_match_sequential_execution_for_any_thread_count() {
         let batch: Vec<TestBody> = (0..12).map(|i| addi_body(i + 1)).collect();
@@ -788,7 +766,7 @@ mod tests {
         let expected: Vec<_> = batch.iter().map(|b| sequential.run(b)).collect();
         for threads in [1, 2, 8] {
             let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), threads);
-            let results = pool.run_batch(&batch);
+            let results = completed(&mut pool, &batch);
             assert_eq!(results.len(), expected.len());
             for (got, want) in results.iter().zip(&expected) {
                 assert_eq!(got.dut.coverage, want.dut.coverage, "threads={threads}");
@@ -803,7 +781,7 @@ mod tests {
         let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
         assert_eq!(pool.last_batch(), BatchStats::default());
         let batch: Vec<TestBody> = (0..6).map(|i| addi_body(i + 1)).collect();
-        pool.run_batch(&batch);
+        completed(&mut pool, &batch);
         let stats = pool.last_batch();
         assert_eq!(stats.cases, 6);
         assert!(stats.exec_seconds > 0.0);
@@ -820,10 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn contained_batch_without_faults_matches_the_plain_path() {
+    fn contained_batch_without_faults_matches_sequential_runs() {
         let batch: Vec<TestBody> = (0..6).map(|i| addi_body(i + 1)).collect();
-        let mut plain = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
-        let expected = plain.run_batch(&batch);
+        let mut sequential = Executor::builder(CoreKind::Rocket).build();
+        let expected: Vec<_> = batch.iter().map(|b| sequential.run(b)).collect();
         let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
         let outcomes = pool.run_batch_contained(&batch);
         assert_eq!(outcomes.len(), expected.len());
@@ -839,7 +817,7 @@ mod tests {
     fn transient_panic_is_retried_and_the_batch_matches_a_clean_run() {
         let batch: Vec<TestBody> = (0..5).map(|i| addi_body(i + 1)).collect();
         let mut clean = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
-        let expected = clean.run_batch(&batch);
+        let expected = completed(&mut clean, &batch);
         for kind in [FaultKind::Panic, FaultKind::IoError, FaultKind::Hang] {
             let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2)
                 .with_fault_plan(FaultPlan::new().fail_at(3, kind));
@@ -973,8 +951,8 @@ mod tests {
     fn throughput_counters_accumulate() {
         let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
         let batch: Vec<TestBody> = (0..4).map(|i| addi_body(i + 1)).collect();
-        pool.run_batch(&batch);
-        pool.run_batch(&batch);
+        completed(&mut pool, &batch);
+        completed(&mut pool, &batch);
         let t = pool.throughput(Duration::from_secs(1), 1_000);
         assert_eq!(t.threads, 2);
         assert_eq!(t.batches, 2);
@@ -1034,8 +1012,8 @@ mod tests {
         let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
         // Two distinct bodies, each submitted twice per batch, twice.
         let batch = vec![addi_body(1), addi_body(2), addi_body(1), addi_body(2)];
-        pool.run_batch(&batch);
-        pool.run_batch(&batch);
+        completed(&mut pool, &batch);
+        completed(&mut pool, &batch);
         let (hits, misses) = pool.predecode_stats();
         assert_eq!(hits + misses, 8, "one prepare per case run");
         // Each worker lowers a body it has not seen at most once, so

@@ -1,13 +1,11 @@
-//! The execution harness: runs a test case on both the DUT and the GRM
-//! and performs differential testing.
+//! The execution harness: runs a test case on the DUT and checks it
+//! against the GRM (differential testing).
 
 use hfl_dut::{CoreKind, Dut, DutResult, MhartMachine, MhartResult};
-use hfl_grm::cpu::HaltReason;
-use hfl_grm::{ArchSnapshot, Cpu, Program, Trace};
 use hfl_riscv::Instruction;
 
 use crate::baselines::TestBody;
-use crate::difftest::{compare, Mismatch};
+use crate::difftest::{check, compare, Mismatch};
 use crate::predecode::{PredecodeCache, PreparedCase};
 
 /// Default per-test step budget (generated tests are short; the budget
@@ -17,14 +15,9 @@ pub const DEFAULT_MAX_STEPS: u64 = 20_000;
 /// The outcome of running one test case through the harness.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// The DUT execution (trace, coverage, cycles, crash state).
+    /// The DUT execution (trace, coverage, cycles, crash state). The
+    /// GRM leaves no record: it only checks this trace.
     pub dut: DutResult,
-    /// The golden model's trace.
-    pub grm_trace: Trace,
-    /// The golden model's halt reason.
-    pub grm_halt: HaltReason,
-    /// The golden model's final architectural state.
-    pub grm_arch: ArchSnapshot,
     /// Differential-testing mismatches (at most one trace divergence plus
     /// final-state differences).
     pub mismatches: Vec<Mismatch>,
@@ -33,17 +26,19 @@ pub struct CaseResult {
     pub timing: CaseTiming,
 }
 
-/// Wall-clock split of one case across the harness's three phases. The
+/// Wall-clock split of one case across the harness's two phases. The
 /// campaign runner aggregates these into its `Metrics` registry
 /// (`phase.difftest.seconds` in particular is unobservable from outside
 /// the harness, since difftest runs inside the pool workers).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CaseTiming {
-    /// Seconds the DUT simulation took.
+    /// Seconds the DUT simulation took. On a two-hart executor this
+    /// includes the GRM harts' replay of the committed schedule, which
+    /// the machine runs in the same call.
     pub dut_seconds: f64,
-    /// Seconds the golden-model run took.
-    pub grm_seconds: f64,
-    /// Seconds trace/state comparison took.
+    /// Seconds the whole check against the GRM took: the GRM run and its
+    /// comparison on a single-hart executor, the per-hart trace
+    /// comparison on a two-hart one.
     pub difftest_seconds: f64,
 }
 
@@ -127,7 +122,8 @@ impl ExecutorBuilder {
 /// let result = executor.run_case(&[
 ///     Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 1),
 /// ]);
-/// assert_eq!(result.grm_arch.x[10], 1);
+/// assert_eq!(result.dut.arch.x[10], 1);
+/// assert!(result.mismatches.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -203,7 +199,9 @@ impl Executor {
     /// outcomes into the single-hart [`CaseResult`] shape the rest of the
     /// pipeline (pools, campaigns, coverage batching) consumes: hart 0
     /// fills the scalar trace/state fields, coverage is the system-level
-    /// snapshot, and `mismatches` merges the per-hart difftests.
+    /// snapshot, and `mismatches` merges the per-hart difftests. The
+    /// machine replays both reference harts in full, because each one's
+    /// stores reach the other, so their traces are compared whole.
     fn run_mhart(&mut self, prepared: &PreparedCase, sched_seed: u64) -> CaseResult {
         let machine = self.mhart.as_mut().expect("mhart mode");
         let dut_started = std::time::Instant::now();
@@ -225,7 +223,6 @@ impl Executor {
         let done = std::time::Instant::now();
         let MhartResult {
             harts: [dut0, dut1],
-            reference: [ref0, _],
             coverage,
             scheduled_steps,
             ..
@@ -239,36 +236,25 @@ impl Executor {
                 arch: dut0.arch,
                 coverage,
             },
-            grm_trace: ref0.trace,
-            grm_halt: ref0.halt,
-            grm_arch: ref0.arch,
             mismatches,
             timing: CaseTiming {
                 dut_seconds: (diff_started - dut_started).as_secs_f64(),
-                grm_seconds: 0.0,
                 difftest_seconds: (done - diff_started).as_secs_f64(),
             },
         }
     }
 
-    /// Runs a prepared (assembled + predecoded) case on both sides and
-    /// diffs the executions.
+    /// Runs a prepared (assembled + predecoded) case on the DUT, then
+    /// checks the GRM against the DUT's trace ([`check`]).
     fn run_prepared(&mut self, prepared: &PreparedCase) -> CaseResult {
-        let program: &Program = &prepared.program;
-        let image = &*prepared.image;
+        let (program, image) = (&*prepared.program, &*prepared.image);
         let dut_started = std::time::Instant::now();
         let dut = self.dut.run_predecoded(program, image, self.max_steps);
-        let grm_started = std::time::Instant::now();
-        let mut grm = Cpu::new();
-        grm.load_program(program);
-        let grm_run = grm.run_predecoded(image, self.max_steps);
-        let grm_arch = grm.arch_snapshot();
-        let grm_trace = std::mem::take(&mut grm.trace);
-        let diff_started = std::time::Instant::now();
-        let mismatches = compare(
-            &grm_trace,
-            grm_run.reason,
-            &grm_arch,
+        let check_started = std::time::Instant::now();
+        let mismatches = check(
+            program,
+            image,
+            self.max_steps,
             &dut.trace,
             dut.halt,
             &dut.arch,
@@ -276,14 +262,10 @@ impl Executor {
         let done = std::time::Instant::now();
         CaseResult {
             dut,
-            grm_trace,
-            grm_halt: grm_run.reason,
-            grm_arch,
             mismatches,
             timing: CaseTiming {
-                dut_seconds: (grm_started - dut_started).as_secs_f64(),
-                grm_seconds: (diff_started - grm_started).as_secs_f64(),
-                difftest_seconds: (done - diff_started).as_secs_f64(),
+                dut_seconds: (check_started - dut_started).as_secs_f64(),
+                difftest_seconds: (done - check_started).as_secs_f64(),
             },
         }
     }
@@ -292,20 +274,30 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfl_grm::{Cpu, PredecodedProgram, Program};
     use hfl_riscv::vocab::mem_map;
     use hfl_riscv::{Csr, Opcode, Reg};
+
+    /// The GRM's own run of `program`, straight from the golden model.
+    fn golden(program: &Program) -> Cpu {
+        let mut grm = Cpu::new();
+        grm.load_program(program);
+        grm.run_predecoded(&PredecodedProgram::new(program), DEFAULT_MAX_STEPS);
+        grm
+    }
 
     #[test]
     fn clean_program_produces_no_mismatch_on_rocket() {
         let mut ex = Executor::builder(CoreKind::Rocket).build();
-        let result = ex.run_case(&[
+        let body = [
             Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 7),
             Instruction::r(Opcode::Add, Reg::X11, Reg::X10, Reg::X10),
             Instruction::s(Opcode::Sd, Reg::X11, 0, Reg::X5),
-        ]);
+        ];
+        let result = ex.run_case(&body);
         assert!(result.mismatches.is_empty(), "{:?}", result.mismatches);
         assert_eq!(result.dut.arch.x[11], 14);
-        assert_eq!(result.grm_arch.x[11], 14);
+        assert_eq!(golden(&Program::assemble(&body)).x[11], 14);
     }
 
     #[test]
@@ -336,12 +328,15 @@ mod tests {
         // A valid addi plus garbage; both sides trap on the garbage the
         // same way, so no mismatch arises from it.
         let addi = Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 3).encode();
-        let result = ex.run(&TestBody::Words(vec![addi, 0xFFFF_FFFF]));
-        assert_eq!(result.grm_arch.x[10], 3);
-        assert!(result
-            .grm_trace
+        let words = vec![addi, 0xFFFF_FFFF];
+        let result = ex.run(&TestBody::Words(words.clone()));
+        let grm = golden(&Program::assemble_raw(&words));
+        assert_eq!(grm.x[10], 3);
+        assert!(grm
+            .trace
             .iter()
             .any(|e| e.trap.is_some_and(|t| t.cause == 2)));
+        assert!(result.mismatches.is_empty(), "{:?}", result.mismatches);
     }
 
     #[test]
@@ -361,8 +356,10 @@ mod tests {
         let inst = Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 9);
         let asm = ex.run(&TestBody::Asm(vec![inst]));
         let words = ex.run(&TestBody::Words(vec![inst.encode()]));
-        assert_eq!(asm.grm_arch.x[10], 9);
-        assert_eq!(asm.grm_arch, words.grm_arch);
+        let grm_asm = golden(&Program::assemble(&[inst])).arch_snapshot();
+        let grm_words = golden(&Program::assemble_raw(&[inst.encode()])).arch_snapshot();
+        assert_eq!(grm_asm.x[10], 9);
+        assert_eq!(grm_asm, grm_words);
         assert_eq!(asm.dut.coverage, words.dut.coverage);
     }
 
@@ -384,9 +381,10 @@ mod tests {
         let mut ex = Executor::builder(CoreKind::Rocket).build();
         let result = ex.run_case(&[Instruction::r(Opcode::Div, Reg::X1, Reg::X2, Reg::X3)]);
         let t = result.timing;
-        for v in [t.dut_seconds, t.grm_seconds, t.difftest_seconds] {
+        for v in [t.dut_seconds, t.difftest_seconds] {
             assert!(v.is_finite() && v >= 0.0, "{t:?}");
         }
         assert!(t.dut_seconds > 0.0, "the DUT phase cannot be free: {t:?}");
+        assert!(t.difftest_seconds > 0.0, "the check runs the GRM: {t:?}");
     }
 }

@@ -139,6 +139,26 @@ impl StepInfo {
             fp_unboxed_input: false,
         }
     }
+
+    /// The entry this step adds to the architectural trace: `None` for a
+    /// halt before any instruction was fetched, and the trap for a
+    /// trapped step. [`Cpu`] records exactly these entries, so a checker
+    /// that reads them from the steps agrees with the recorded trace.
+    #[must_use]
+    pub fn trace_entry(&self) -> Option<TraceEntry> {
+        let trap = match self.outcome {
+            StepOutcome::Halted(_) if self.inst.is_none() => return None,
+            StepOutcome::Trapped(trap) => Some(trap),
+            _ => None,
+        };
+        Some(TraceEntry {
+            pc: self.pc,
+            word: self.word,
+            rd_write: self.rd_write,
+            mem: self.mem,
+            trap,
+        })
+    }
 }
 
 /// Result of [`Cpu::run_predecoded`] and [`Cpu::run`].
@@ -434,20 +454,9 @@ impl Cpu {
         if !self.trace_enabled {
             return;
         }
-        if matches!(info.outcome, StepOutcome::Halted(_)) && info.inst.is_none() {
-            return;
+        if let Some(entry) = info.trace_entry() {
+            self.trace.entries.push(entry);
         }
-        let trap = match info.outcome {
-            StepOutcome::Trapped(t) => Some(t),
-            _ => None,
-        };
-        self.trace.entries.push(TraceEntry {
-            pc: info.pc,
-            word: info.word,
-            rd_write: info.rd_write,
-            mem: info.mem,
-            trap,
-        });
     }
 
     fn take_trap(&mut self, info: &mut StepInfo, trap: Trap) {

@@ -1,19 +1,25 @@
 //! Correctness-oracle hardening: the signature extractor's dedup and
 //! collision behaviour, triage's signature preservation and idempotence,
-//! and a clean-configuration DUT↔GRM lockstep property — with no injected
+//! a clean-configuration DUT↔GRM lockstep property — with no injected
 //! defects the two sides must agree on every random program, on every
-//! core.
+//! core — and the campaign's checker against the full trace comparison.
 
-use hfl::baselines::random_instruction;
-use hfl::difftest::{Mismatch, MismatchKind, Signature, SignatureSet};
-use hfl::harness::Executor;
+use hfl::baselines::{random_instruction, Feedback, Fuzzer, TestBody};
+use hfl::difftest::{compare, Mismatch, MismatchKind, Signature, SignatureSet};
+use hfl::harness::{Executor, DEFAULT_MAX_STEPS};
 use hfl::poc::poc_for;
+use hfl::predecode::PredecodeCache;
+use hfl::spec::FuzzerKind;
 use hfl::triage::minimize;
-use hfl_dut::CoreKind;
+use hfl_dut::bugs::{bugs_for, enable, quirks_for, CATALOG};
+use hfl_dut::{CoreKind, CoverageSnapshot, Dut};
+use hfl_grm::cpu::{Cpu, Quirks};
+use hfl_grm::{ArchSnapshot, PredecodedProgram, Program};
 use hfl_riscv::{Instruction, Opcode, Reg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 fn mismatch(kind: MismatchKind, opcode: Option<Opcode>, pc: u64, detail: &str) -> Mismatch {
     Mismatch {
@@ -131,6 +137,16 @@ fn minimisation_preserves_the_signature_and_is_idempotent() {
     assert_eq!(second.reduction(), 0.0, "nothing left to remove");
 }
 
+/// The GRM's final state for `body`, straight from the golden model: the
+/// executor checks the GRM against the DUT and keeps no GRM state.
+fn golden_arch(body: &[Instruction]) -> ArchSnapshot {
+    let program = Program::assemble(body);
+    let mut grm = Cpu::new();
+    grm.load_program(&program);
+    grm.run_predecoded(&PredecodedProgram::new(&program), DEFAULT_MAX_STEPS);
+    grm.arch_snapshot()
+}
+
 /// Straight-line random body: memory/control flow excluded so the program
 /// terminates fast; the remaining ALU/CSR mix still exercises decode,
 /// writeback and the trace comparator on every instruction.
@@ -166,7 +182,7 @@ proptest! {
                 result.mismatches
             );
             // And the lockstep really did execute the program.
-            prop_assert_eq!(result.grm_arch, result.dut.arch.clone());
+            prop_assert_eq!(golden_arch(&body), result.dut.arch.clone());
         }
     }
 
@@ -204,9 +220,119 @@ fn clean_config_agrees_even_on_traps() {
             "{core:?}: {:?}",
             result.mismatches
         );
+        // No mismatch means every entry agreed, traps included.
         assert!(
-            result.grm_trace.iter().any(|e| e.trap.is_some()),
+            result.dut.trace.iter().any(|e| e.trap.is_some()),
             "{core:?}: expected the load to trap"
         );
     }
+}
+
+/// A word-soup body: encodings of random instructions (branches, jumps,
+/// memory, CSRs) interleaved with raw draws that may decode to anything
+/// or trap as illegal.
+fn word_soup(seed: u64, len: usize) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|i| {
+            if i % 3 == 2 {
+                rng.gen::<u32>()
+            } else {
+                random_instruction(&mut rng).encode()
+            }
+        })
+        .collect()
+}
+
+/// Bodies for the checker's lockdown on `core`: Cascade, DifuzzRTL and
+/// TheHuzz cases, each fuzzer fed the coverage its cases gain on the
+/// core's catalogue executor; word soup; and every catalogue PoC, alone
+/// and followed by straight-line code that the GRM runs past a crash.
+fn checker_corpus(core: CoreKind, per_source: usize) -> Vec<TestBody> {
+    let mut executor = Executor::builder(core).build();
+    let mut bodies = Vec::new();
+    for (seed, kind) in [FuzzerKind::Cascade, FuzzerKind::Difuzz, FuzzerKind::TheHuzz]
+        .into_iter()
+        .enumerate()
+    {
+        let mut fuzzer = kind.build(seed as u64);
+        let mut cumulative: Option<CoverageSnapshot> = None;
+        for _ in 0..per_source {
+            let body = fuzzer.next_case();
+            let coverage = executor.run(&body).dut.coverage;
+            let gained = cumulative.as_ref().is_none_or(|c| c.would_grow(&coverage));
+            let total = cumulative.get_or_insert_with(|| coverage.clone());
+            total.union_with(&coverage);
+            fuzzer.feedback(&body, Feedback::scalar(gained, total.count() as f32));
+            bodies.push(body);
+        }
+    }
+    for seed in 0..per_source as u64 {
+        bodies.push(TestBody::Words(word_soup(seed, 8 + seed as usize * 7 % 48)));
+    }
+    for (seed, bug) in CATALOG.iter().enumerate() {
+        let poc = poc_for(bug.id);
+        let mut padded = poc.clone();
+        padded.extend(straight_line_body(seed as u64, 4));
+        bodies.push(TestBody::Asm(poc));
+        bodies.push(TestBody::Asm(padded));
+    }
+    bodies
+}
+
+/// The campaign's difftest steps the GRM as a checker over the DUT's
+/// trace, stops at the first divergence and records no GRM trace. Its
+/// mismatches, details included, must equal `compare` over a direct DUT
+/// run and a full GRM run of the same prepared program: on every core,
+/// under its catalogue and under each of its bugs armed alone, at the
+/// default step budget and at one short enough to cut bodies off.
+#[test]
+fn checker_matches_the_full_trace_comparison() {
+    let mut reached = BTreeSet::new();
+    for core in CoreKind::ALL {
+        let bodies = checker_corpus(core, 40);
+        let mut configs = vec![("catalogue", quirks_for(core))];
+        for bug in bugs_for(core) {
+            let mut quirks = Quirks::default();
+            enable(&mut quirks, bug.id, core);
+            configs.push((bug.id, quirks));
+        }
+        for (config, quirks) in configs {
+            for max_steps in [DEFAULT_MAX_STEPS, 37] {
+                let mut executor = Executor::builder(core)
+                    .quirks(quirks.clone())
+                    .max_steps(max_steps)
+                    .build();
+                let mut dut = Dut::with_quirks(core, quirks.clone());
+                let mut cache = PredecodeCache::default();
+                for (i, body) in bodies.iter().enumerate() {
+                    let got = executor.run(body).mismatches;
+                    let prepared = cache.prepare(body);
+                    let d = dut.run_predecoded(&prepared.program, &prepared.image, max_steps);
+                    let mut grm = Cpu::new();
+                    grm.load_program(&prepared.program);
+                    let run = grm.run_predecoded(&prepared.image, max_steps);
+                    let want = compare(
+                        &grm.trace,
+                        run.reason,
+                        &grm.arch_snapshot(),
+                        &d.trace,
+                        d.halt,
+                        &d.arch,
+                    );
+                    assert_eq!(got, want, "{core:?} {config} budget {max_steps} body {i}");
+                    reached.insert(match want.first().map(|m| m.kind) {
+                        None => "agreement",
+                        Some(MismatchKind::FinalState { .. }) => "final state",
+                        Some(MismatchKind::Crash) if grm.trace.len() > d.trace.len() => {
+                            "a crash the GRM runs past"
+                        }
+                        Some(MismatchKind::Crash) => "a crash at the GRM's last entry",
+                        Some(_) => "a divergent entry",
+                    });
+                }
+            }
+        }
+    }
+    assert_eq!(reached.len(), 5, "the corpus reached only {reached:?}");
 }

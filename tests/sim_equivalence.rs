@@ -147,12 +147,6 @@ fn assert_cases_match(reference: &[CaseResult], got: &[CaseResult], context: &st
     assert_eq!(reference.len(), got.len(), "{context}: case count");
     for (i, (want, have)) in reference.iter().zip(got).enumerate() {
         assert_dut_results_match(&want.dut, &have.dut, &format!("{context} case {i}"));
-        assert_eq!(want.grm_halt, have.grm_halt, "{context} case {i}: grm halt");
-        assert_eq!(want.grm_arch, have.grm_arch, "{context} case {i}: grm arch");
-        assert_eq!(
-            want.grm_trace, have.grm_trace,
-            "{context} case {i}: grm trace"
-        );
         assert_eq!(
             want.mismatches, have.mismatches,
             "{context} case {i}: mismatches"
@@ -177,7 +171,11 @@ fn pool_results_are_identical_across_thread_counts() {
         for threads in [1, 2, 8] {
             let prototype = Executor::builder(core).max_steps(MAX_STEPS).build();
             let mut pool = ExecPool::new(prototype, threads);
-            let got = pool.run_batch(&bodies);
+            let got: Vec<CaseResult> = pool
+                .run_batch_contained(&bodies)
+                .iter()
+                .map(|outcome| outcome.completed().expect("no faults injected").clone())
+                .collect();
             assert_cases_match(&reference, &got, &format!("{core:?} threads {threads}"));
             let (hits, misses) = pool.predecode_stats();
             assert_eq!(
