@@ -36,11 +36,25 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
 }
 
 /// Parses a numeric `--key value` override with a default.
+///
+/// A flag that is present with a missing or unparsable value ends the
+/// process with exit status 2 and a message naming the flag and the
+/// value, so a mistyped size never runs the default-sized experiment.
 #[must_use]
 pub fn arg_num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    arg_value(args, key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(at) = args.iter().position(|a| a == key) else {
+        return default;
+    };
+    match args.get(at + 1) {
+        Some(value) => value.parse().unwrap_or_else(|_| {
+            eprintln!("{key}: {value:?} is not a valid number");
+            std::process::exit(2)
+        }),
+        None => {
+            eprintln!("{key}: missing value");
+            std::process::exit(2)
+        }
+    }
 }
 
 #[cfg(test)]

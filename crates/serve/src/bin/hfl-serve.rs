@@ -56,9 +56,21 @@ fn main() {
     }
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| String::from("127.0.0.1:7700"));
     let data_dir = arg_value(&args, "--data-dir").unwrap_or_else(|| String::from("hfl-serve-data"));
-    let workers: usize = arg_value(&args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
+    // A present but missing or unparsable value exits 2, like the
+    // harness binaries' `arg_num`, instead of starting two workers.
+    let workers: usize = match args.iter().position(|a| a == "--workers") {
+        None => 2,
+        Some(at) => match args.get(at + 1) {
+            Some(value) => value.parse().unwrap_or_else(|_| {
+                eprintln!("hfl-serve: --workers: {value:?} is not a valid number");
+                std::process::exit(2)
+            }),
+            None => {
+                eprintln!("hfl-serve: --workers: missing value");
+                std::process::exit(2)
+            }
+        },
+    };
 
     // The std library has no signal API; registering the classic
     // signal(2) handler directly keeps the daemon dependency-free.

@@ -392,3 +392,17 @@ fn drained_job_resumes_bit_identical_after_restart() {
     daemon.join().expect("daemon thread").expect("second drain");
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+#[test]
+fn an_unparsable_worker_count_exits_2_naming_the_flag() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hfl-serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "2x"])
+        .output()
+        .expect("hfl-serve starts");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--workers") && stderr.contains("2x"),
+        "{stderr}"
+    );
+}
