@@ -183,9 +183,9 @@ pub fn compare(
 }
 
 /// Checks the GRM against the DUT's trace of the same program as it runs:
-/// a fresh GRM that records no trace of its own steps over `image` (the
-/// predecoded `program`) under the same `max_steps` budget, and each
-/// entry it logs is compared with the DUT's entry at the same index.
+/// a fresh GRM steps over `image` (the predecoded `program`) under the
+/// same `max_steps` budget without recording a trace, and each entry it
+/// logs is compared with the DUT's entry at the same index.
 ///
 /// The run stops at the first divergent entry, since [`compare`] reports
 /// nothing after it. When every entry both sides logged agrees, the GRM
