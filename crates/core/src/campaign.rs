@@ -56,7 +56,9 @@ use crate::baselines::{ComposeError, Feedback, Fuzzer, TestBody};
 use crate::control::StopHandle;
 use crate::corpus::Corpus;
 use crate::difftest::{Signature, SignatureSet};
-use crate::exec::{CaseOutcome, CoverageBatch, ExecPool, FaultPlan, FaultPolicy, Throughput};
+use crate::exec::{
+    CaseOutcome, CoverageBatch, ExecPool, FaultPlan, FaultPolicy, Throughput, MAX_THREADS,
+};
 use crate::harness::Executor;
 use crate::obs::{Event, Histogram, Metrics, MetricsSnapshot, SinkHandle, DURATION_BUCKETS};
 
@@ -78,7 +80,7 @@ pub struct RunConfig {
     /// changes them.
     pub batch: usize,
     /// Worker threads in the execution pool (affects wall-clock only,
-    /// never results).
+    /// never results); at most [`MAX_THREADS`].
     pub threads: usize,
 }
 
@@ -125,6 +127,9 @@ impl RunConfig {
         }
         if self.threads == 0 {
             return Err(SpecError::ZeroThreads);
+        }
+        if self.threads > MAX_THREADS {
+            return Err(SpecError::TooManyThreads);
         }
         Ok(())
     }
@@ -191,6 +196,9 @@ pub enum SpecError {
     ZeroBatch,
     /// `threads` was zero: the pool needs at least one worker.
     ZeroThreads,
+    /// `threads` was above [`MAX_THREADS`]: each pool thread beyond the
+    /// caller's stays alive as long as the pool.
+    TooManyThreads,
     /// A checkpoint policy asked for an interval of zero rounds.
     ZeroCheckpointInterval,
     /// A fleet asked for zero epochs: no member would ever run.
@@ -213,6 +221,9 @@ impl fmt::Display for SpecError {
             SpecError::ZeroMaxSteps => write!(f, "per-case step budget must be nonzero"),
             SpecError::ZeroBatch => write!(f, "round batch size must be nonzero"),
             SpecError::ZeroThreads => write!(f, "the pool needs at least one worker thread"),
+            SpecError::TooManyThreads => {
+                write!(f, "threads must be at most {MAX_THREADS}")
+            }
             SpecError::ZeroCheckpointInterval => {
                 write!(f, "checkpoint interval must be at least one round")
             }
@@ -1135,16 +1146,7 @@ pub fn run_campaign(
         if spec.stop_requested() {
             break;
         }
-        run_round(
-            fuzzer,
-            &mut pool,
-            cfg,
-            spec.threads(),
-            sink,
-            &mut metrics,
-            &mut state,
-            None,
-        )?;
+        run_round(fuzzer, &mut pool, cfg, sink, &mut metrics, &mut state, None)?;
         // Periodic (and operator-requested) checkpoints land on round
         // boundaries, where every fuzzer's pending queues are empty — the
         // invariant that makes a resumed run bit-identical to an
@@ -1219,12 +1221,10 @@ pub struct HarvestedCase {
 /// round ([`Fuzzer::try_next_round`]) or composes an empty one. No case
 /// has executed and no state has advanced when this happens, so the
 /// campaign remains checkpointable/resumable.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_round(
     fuzzer: &mut dyn Fuzzer,
     pool: &mut ExecPool,
     cfg: &CampaignConfig,
-    threads: usize,
     sink: &SinkHandle,
     metrics: &mut Metrics,
     state: &mut CampaignState,
@@ -1374,7 +1374,7 @@ pub(crate) fn run_round(
         // can resolve the batch's utilisation when it sees it.
         sink.emit(&Event::PoolOccupancy {
             round: round_index,
-            threads: threads as u64,
+            threads: pool.threads() as u64,
             occupancy: batch.occupancy,
             exec_seconds: batch.exec_seconds,
             busy_seconds: batch.busy_seconds,
@@ -1593,6 +1593,17 @@ mod tests {
                 .build(),
             Err(SpecError::ZeroThreads)
         ));
+        // Building a spec starts no thread, so the cap is checked as is.
+        assert!(matches!(
+            CampaignSpec::builder(CoreKind::Rocket, ok)
+                .threads(MAX_THREADS + 1)
+                .build(),
+            Err(SpecError::TooManyThreads)
+        ));
+        assert!(CampaignSpec::builder(CoreKind::Rocket, ok)
+            .threads(MAX_THREADS)
+            .build()
+            .is_ok());
         assert!(matches!(
             CampaignSpec::builder(CoreKind::Rocket, ok)
                 .checkpoint(CheckpointPolicy::new("/tmp/unused", 0))

@@ -9,6 +9,11 @@
 //! plain sequential loop over the same code path, so `threads = 1`
 //! reproduces the single-threaded harness bit for bit.
 //!
+//! Threads: the calling thread is worker 0. The other workers are helper
+//! threads that live as long as the pool and park on a channel between
+//! batches; a helper is spawned the first time a batch needs it, and
+//! dropping the pool joins them. Nothing spawns per batch.
+//!
 //! Fault containment (the crash-safety half of the campaign API): each
 //! case runs inside `catch_unwind`, so a panicking worker poisons only its
 //! own `(DUT, GRM)` pair — the pair is replaced from the prototype, the
@@ -20,9 +25,12 @@
 //! testable without a real defect.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hfl_grm::cpu::HaltReason;
@@ -30,65 +38,220 @@ use hfl_grm::cpu::HaltReason;
 use crate::baselines::TestBody;
 use crate::harness::{CaseResult, Executor};
 
-/// Runs `f` over `items` on the given workers, merging the outputs back
-/// into item order.
-///
-/// Work is distributed by an atomic cursor (work stealing), so slow items
-/// don't serialise behind a static partition; the index travelling with
-/// each output makes the merge deterministic regardless of which worker
-/// picked up which item. With one worker (or one item) no threads are
-/// spawned at all.
-///
-/// # Panics
-///
-/// Panics if `workers` is empty, and propagates the original payload if a
-/// worker panics while processing an item.
-pub fn run_ordered<W, I, T, F>(workers: &mut [W], items: &[I], f: F) -> Vec<T>
+/// The most worker threads a pool may have. Every spec, JobSpec and
+/// wire `Assign` is checked against it, and [`ExecPool::new`] clamps to
+/// it, so no input can make a process start more threads than this per
+/// pool.
+pub const MAX_THREADS: usize = 64;
+
+/// One batch as every worker sees it: the items, the cursor the workers
+/// pull indices from (work stealing, so a slow item does not hold up a
+/// static share), and the function they apply.
+struct Batch<I, F> {
+    items: Vec<I>,
+    cursor: AtomicUsize,
+    f: F,
+}
+
+/// A [`Batch`] with its item and function types erased, so one channel
+/// per helper carries every batch.
+trait Job<W, T>: Send + Sync {
+    /// Runs items until the cursor passes the end, tagging each output
+    /// with its item index.
+    fn drain(&self, worker: &mut W) -> Vec<(usize, T)>;
+}
+
+impl<W, T, I, F> Job<W, T> for Batch<I, F>
 where
-    W: Send,
-    I: Sync,
-    T: Send,
-    F: Fn(&mut W, &I) -> T + Sync,
+    I: Send + Sync,
+    F: Fn(&mut W, usize, &I) -> T + Send + Sync,
 {
-    assert!(!workers.is_empty(), "run_ordered needs at least one worker");
-    if workers.len() <= 1 || items.len() <= 1 {
-        let worker = &mut workers[0];
-        return items.iter().map(|item| f(worker, item)).collect();
+    fn drain(&self, worker: &mut W) -> Vec<(usize, T)> {
+        let mut out = Vec::new();
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = self.items.get(i) else {
+                return out;
+            };
+            out.push((i, (self.f)(worker, i, item)));
+        }
     }
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|worker| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        out.push((i, f(worker, item)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
+}
+
+/// A helper's answer to one batch: its id, then its tagged outputs and
+/// its report, or the payload of a panic that escaped the function.
+type Reply<T, R> = (usize, thread::Result<(Vec<(usize, T)>, R)>);
+
+/// What wakes a parked helper: the batch, and where to send its reply.
+type Order<W, T, R> = (Arc<dyn Job<W, T>>, Sender<Reply<T, R>>);
+
+struct Helper<W, T, R> {
+    orders: Sender<Order<W, T, R>>,
+    thread: JoinHandle<()>,
+}
+
+/// The threads a pool runs its batches on. Worker 0 is the calling
+/// thread with its own worker state `W`; each helper thread holds a
+/// clone of the prototype for as long as the pool lives and parks on its
+/// order channel between batches. `T` is the output per item and `R`
+/// what a helper reports about its state with each reply.
+struct Workers<W, T, R> {
+    prototype: Arc<W>,
+    local: W,
+    threads: usize,
+    report: fn(&W) -> R,
+    helpers: Vec<Helper<W, T, R>>,
+    /// The latest report of each helper, in helper order.
+    reports: Vec<R>,
+}
+
+impl<W, T, R> Workers<W, T, R>
+where
+    W: Clone + Send + Sync + 'static,
+    T: Send + 'static,
+    R: Copy + Send + 'static,
+{
+    /// `threads` workers (at least one) cloned from `prototype`. Spawns
+    /// nothing: helpers start with the first batch that needs them.
+    fn new(prototype: W, threads: usize, report: fn(&W) -> R) -> Self {
+        Workers {
+            local: prototype.clone(),
+            prototype: Arc::new(prototype),
+            threads: threads.max(1),
+            report,
+            helpers: Vec::new(),
+            reports: Vec::new(),
+        }
+    }
+
+    /// Applies `f` to every item on `min(threads, items.len())` workers
+    /// and returns the outputs in item order. With one worker the items
+    /// run on the calling thread and nothing is cloned or woken.
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics on any worker, the panic reaches the caller with its
+    /// original payload, after every helper has replied.
+    fn run<I, F>(&mut self, items: &[I], f: F) -> Vec<T>
+    where
+        I: Clone + Send + Sync + 'static,
+        F: Fn(&mut W, usize, &I) -> T + Send + Sync + 'static,
+    {
+        let woken = self.threads.min(items.len()).saturating_sub(1);
+        if woken == 0 {
+            let local = &mut self.local;
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| f(local, i, item))
+                .collect();
+        }
+        self.spawn_helpers(woken);
+        let batch = Arc::new(Batch {
+            items: items.to_vec(),
+            cursor: AtomicUsize::new(0),
+            f,
+        });
+        // A reply channel per batch: no batch can read another's replies.
+        let (replies, inbox) = mpsc::channel();
+        for helper in &self.helpers[..woken] {
+            let job: Arc<dyn Job<W, T>> = batch.clone();
+            helper
+                .orders
+                .send((job, replies.clone()))
+                .expect("a pool helper lives as long as its pool");
+        }
+        drop(replies);
+        let local = catch_unwind(AssertUnwindSafe(|| batch.drain(&mut self.local)));
+        // Every helper replies before anything unwinds, so none is still
+        // working on this batch once the caller regains control.
+        let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
+        let mut place = |outputs: Vec<(usize, T)>| {
+            for (i, output) in outputs {
+                slots[i] = Some(output);
+            }
+        };
+        let mut escaped = None;
+        for _ in 0..woken {
+            let (id, reply) = inbox.recv().expect("a pool helper exited without replying");
+            match reply {
+                Ok((outputs, report)) => {
+                    self.reports[id] = report;
+                    place(outputs);
+                }
+                Err(payload) => {
+                    escaped.get_or_insert(payload);
+                }
+            }
+        }
+        place(local.unwrap_or_else(|payload| resume_unwind(payload)));
+        if let Some(payload) = escaped {
+            resume_unwind(payload);
+        }
+        slots
             .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
-                Err(payload) => resume_unwind(payload),
-            })
+            .map(|s| s.expect("every item was processed exactly once"))
             .collect()
-    });
-    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-    for (i, result) in indexed {
-        slots[i] = Some(result);
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item was processed exactly once"))
-        .collect()
+
+    /// Spawns helpers until there are `count`.
+    fn spawn_helpers(&mut self, count: usize) {
+        while self.helpers.len() < count {
+            let id = self.helpers.len();
+            let mut worker = W::clone(&self.prototype);
+            let report = self.report;
+            self.reports.push(report(&worker));
+            let (orders, parked) = mpsc::channel::<Order<W, T, R>>();
+            let thread = thread::Builder::new()
+                .name(format!("exec-pool-{}", id + 1))
+                .spawn(move || {
+                    for (job, replies) in parked {
+                        let reply = catch_unwind(AssertUnwindSafe(|| {
+                            let outputs = job.drain(&mut worker);
+                            (outputs, report(&worker))
+                        }));
+                        drop(job);
+                        // The caller waits for this reply, so the send
+                        // only fails if the caller is gone.
+                        let _ = replies.send((id, reply));
+                    }
+                })
+                .expect("failed to spawn an execution-pool helper thread");
+            self.helpers.push(Helper { orders, thread });
+        }
+    }
+
+    /// The report of every worker, the calling thread's first.
+    fn reports(&self) -> impl Iterator<Item = R> + '_ {
+        std::iter::once((self.report)(&self.local)).chain(self.reports.iter().copied())
+    }
+}
+
+impl<W, T, R> Drop for Workers<W, T, R> {
+    /// Closes every order channel, which ends each helper's loop, then
+    /// joins the helpers.
+    fn drop(&mut self) {
+        let (orders, threads): (Vec<_>, Vec<_>) = self
+            .helpers
+            .drain(..)
+            .map(|helper| (helper.orders, helper.thread))
+            .unzip();
+        drop(orders);
+        for thread in threads {
+            // Helpers catch every panic, so a join never reports one.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl<W, T, R: fmt::Debug> fmt::Debug for Workers<W, T, R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Workers")
+            .field("threads", &self.threads)
+            .field("helpers", &self.helpers.len())
+            .field("reports", &self.reports)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The kind of fault [`FaultPlan`] injects into a worker.
@@ -476,6 +639,8 @@ impl CoverageBatch {
 }
 
 /// A pool of cloned [`Executor`]s evaluating batches of test bodies.
+/// The calling thread runs worker 0; the others run on helper threads
+/// that the pool keeps, parked between batches, until it drops.
 ///
 /// # Examples
 ///
@@ -497,10 +662,11 @@ impl CoverageBatch {
 /// ```
 #[derive(Debug)]
 pub struct ExecPool {
-    workers: Vec<Executor>,
-    /// Pristine executor used to replace poisoned workers (every run
-    /// starts the DUT from reset, so clones behave identically).
-    prototype: Executor,
+    /// The calling thread's executor, the helpers, and the pristine
+    /// prototype that replaces poisoned workers (every run starts the
+    /// DUT from reset, so clones behave identically). Helpers report
+    /// their predecode-cache `(hits, misses)` with each reply.
+    workers: Workers<Executor, (CaseOutcome, Duration), (u64, u64)>,
     policy: FaultPolicy,
     plan: Option<Arc<FaultPlan>>,
     batches: u64,
@@ -512,14 +678,17 @@ pub struct ExecPool {
 
 impl ExecPool {
     /// Creates a pool of `threads` workers cloned from one prototype
-    /// (`threads` is clamped to at least 1).
+    /// (`threads` is clamped to `1..=`[`MAX_THREADS`]). The calling
+    /// thread is worker 0; the others are helper threads, spawned the
+    /// first time a batch needs them and joined when the pool drops.
     #[must_use]
     pub fn new(prototype: Executor, threads: usize) -> ExecPool {
-        let threads = threads.max(1);
-        let workers = (0..threads).map(|_| prototype.clone()).collect();
         ExecPool {
-            workers,
-            prototype,
+            workers: Workers::new(
+                prototype,
+                threads.min(MAX_THREADS),
+                Executor::predecode_stats,
+            ),
             policy: FaultPolicy::default(),
             plan: None,
             batches: 0,
@@ -561,19 +730,19 @@ impl ExecPool {
     /// Number of worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.workers.threads
     }
 
     /// The core under test.
     #[must_use]
     pub fn core(&self) -> hfl_dut::CoreKind {
-        self.workers[0].core()
+        self.workers.prototype.core()
     }
 
     /// The coverage-point database (identical across workers).
     #[must_use]
     pub fn coverage_map(&self) -> &hfl_dut::CoverageMap {
-        self.workers[0].coverage_map()
+        self.workers.prototype.coverage_map()
     }
 
     /// Executes one batch with fault containment, returning a
@@ -590,23 +759,15 @@ impl ExecPool {
         install_contained_panic_hook();
         let started = Instant::now();
         let base = self.cases;
-        let indexed: Vec<(u64, &TestBody)> = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, body)| (base + 1 + i as u64, body))
-            .collect();
-        let prototype = &self.prototype;
-        let plan = self.plan.as_deref();
+        let prototype = Arc::clone(&self.workers.prototype);
+        let plan = self.plan.clone();
         let policy = self.policy;
-        let timed = run_ordered(
-            &mut self.workers,
-            &indexed,
-            |worker, &(case_index, body)| {
-                let case_started = Instant::now();
-                let outcome = run_case_contained(worker, prototype, body, case_index, plan, policy);
-                (outcome, case_started.elapsed())
-            },
-        );
+        let timed = self.workers.run(bodies, move |worker, i, body| {
+            let case_started = Instant::now();
+            let (case_index, plan) = (base + 1 + i as u64, plan.as_deref());
+            let outcome = run_case_contained(worker, &prototype, body, case_index, plan, policy);
+            (outcome, case_started.elapsed())
+        });
         let batch_wall = started.elapsed();
         let mut batch_busy = Duration::ZERO;
         let outcomes: Vec<CaseOutcome> = timed
@@ -626,7 +787,7 @@ impl ExecPool {
             exec_seconds,
             busy_seconds: batch_busy.as_secs_f64(),
             occupancy: if exec_seconds > 0.0 {
-                batch_busy.as_secs_f64() / (exec_seconds * self.workers.len() as f64)
+                batch_busy.as_secs_f64() / (exec_seconds * self.threads() as f64)
             } else {
                 0.0
             },
@@ -659,15 +820,15 @@ impl ExecPool {
     }
 
     /// Summed predecode-cache `(hits, misses)` across all workers (the
-    /// campaign surfaces them as `sim.predecode.*` metrics). Which
+    /// campaign surfaces them as `sim.predecode.*` metrics); a helper's
+    /// share is the one it reported with its latest reply. Which
     /// worker serves which case is schedule-dependent above one thread,
     /// but the totals are not: each body is prepared exactly once per
     /// batch slot, so `hits + misses` equals cases run.
     #[must_use]
     pub fn predecode_stats(&self) -> (u64, u64) {
         self.workers
-            .iter()
-            .map(Executor::predecode_stats)
+            .reports()
             .fold((0, 0), |(h, m), (wh, wm)| (h + wh, m + wm))
     }
 
@@ -678,7 +839,7 @@ impl ExecPool {
     pub fn throughput(&self, wall: Duration, instructions: u64) -> Throughput {
         let wall_seconds = wall.as_secs_f64();
         let exec_seconds = self.exec_time.as_secs_f64();
-        let threads = self.workers.len();
+        let threads = self.threads();
         Throughput {
             threads,
             batches: self.batches,
@@ -710,42 +871,180 @@ mod tests {
     use super::*;
     use hfl_dut::CoreKind;
     use hfl_riscv::{Instruction, Opcode, Reg};
+    use std::sync::atomic::AtomicBool;
 
     fn addi_body(imm: i64) -> TestBody {
         TestBody::Asm(vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, imm)])
     }
 
+    /// Workers whose state is nothing and who report nothing: the tests
+    /// below drive the thread machinery with plain closures.
+    fn bare(threads: usize) -> Workers<(), std::thread::ThreadId, ()> {
+        Workers::new((), threads, |()| ())
+    }
+
     #[test]
-    fn run_ordered_merges_in_submission_order() {
-        // Workers carry distinct identities; results must follow item
-        // order regardless of which worker processed what.
-        let mut workers = vec![10usize, 20, 30];
+    fn workers_merge_in_submission_order_with_more_items_than_workers() {
+        let mut workers: Workers<usize, usize, ()> = Workers::new(10, 3, |_| ());
         let items: Vec<usize> = (0..40).collect();
-        let results = run_ordered(&mut workers, &items, |_, &i| i * 2);
+        let results = workers.run(&items, |_, i, &item| {
+            // Uneven costs shuffle which worker finishes what.
+            std::thread::sleep(Duration::from_micros(50 * (item % 3) as u64));
+            assert_eq!(i, item, "each output keeps its item's index");
+            item * 2
+        });
         assert_eq!(results, items.iter().map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_ordered_single_worker_stays_on_the_calling_thread() {
-        let calling = std::thread::current().id();
-        let mut workers = vec![()];
-        let items = [1, 2, 3];
-        let results = run_ordered(&mut workers, &items, |(), &i| {
-            assert_eq!(std::thread::current().id(), calling);
-            i + 1
-        });
-        assert_eq!(results, vec![2, 3, 4]);
+    fn helpers_persist_across_batches() {
+        let caller = std::thread::current().id();
+        let mut workers = bare(2);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..50 {
+            // Each side waits until the other has taken an item, so both
+            // threads run a case in every batch.
+            let flags = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+            seen.extend(workers.run(&[(); 8], move |(), _, ()| {
+                let me = std::thread::current().id();
+                let side = usize::from(me != caller);
+                flags[side].store(true, Ordering::SeqCst);
+                wait_for(&flags[1 - side]);
+                me
+            }));
+        }
+        assert_eq!(seen.len(), 2, "50 batches ran on the caller and one helper");
+        assert!(seen.contains(&caller), "the caller is worker 0");
+        assert_eq!(workers.helpers.len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "worker exploded on item 3")]
-    fn run_ordered_propagates_worker_panics() {
-        let mut workers = vec![0u8, 0];
-        let items: Vec<usize> = (0..8).collect();
-        run_ordered(&mut workers, &items, |_, &i| {
-            assert!(i != 3, "worker exploded on item {i}");
+    fn one_worker_or_one_item_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = move |(): &mut (), _: usize, (): &()| {
+            assert_eq!(std::thread::current().id(), caller);
+            caller
+        };
+        let mut one_thread = bare(1);
+        assert_eq!(one_thread.run(&[(); 3], on_caller), vec![caller; 3]);
+        assert!(
+            one_thread.helpers.is_empty(),
+            "a 1-thread pool spawns nothing"
+        );
+        let mut wide = bare(4);
+        assert_eq!(wide.run(&[()], on_caller), vec![caller]);
+        assert!(wide.helpers.is_empty(), "a 1-item batch spawns nothing");
+        assert!(wide.run::<(), _>(&[], on_caller).is_empty());
+        assert!(wide.helpers.is_empty(), "an empty batch spawns nothing");
+    }
+
+    #[test]
+    fn a_batch_wakes_only_the_helpers_it_needs() {
+        let mut workers = bare(8);
+        workers.run(&[(); 3], |(), _, ()| std::thread::current().id());
+        assert_eq!(workers.helpers.len(), 2, "three items need two helpers");
+        workers.run(&[(); 5], |(), _, ()| std::thread::current().id());
+        assert_eq!(workers.helpers.len(), 4, "helpers are spawned on demand");
+        assert_eq!(workers.reports.len(), 4);
+    }
+
+    /// Worker state that counts its drops. Away from the thread that
+    /// made it, a drop is slow, so a pool that did not wait for its
+    /// helpers' threads to exit would miss their counts.
+    #[derive(Clone)]
+    struct SlowDrop {
+        dropped: Arc<AtomicUsize>,
+        owner: std::thread::ThreadId,
+    }
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            if std::thread::current().id() != self.owner {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn dropping_the_workers_joins_the_helpers() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let prototype = SlowDrop {
+            dropped: Arc::clone(&dropped),
+            owner: std::thread::current().id(),
+        };
+        let mut workers: Workers<SlowDrop, usize, ()> = Workers::new(prototype, 3, |_| ());
+        workers.run(&[(); 6], |_, i, ()| i);
+        assert_eq!(workers.helpers.len(), 2);
+        drop(workers);
+        // Prototype, the caller's state and both helpers' states: the
+        // helpers' are dropped on their own threads as those exit.
+        assert_eq!(dropped.load(Ordering::SeqCst), 4);
+    }
+
+    /// Blocks until `flag` is set (or ten seconds pass).
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs eight items on a two-worker set. The first item the helper
+    /// (or, with `on_caller`, the calling thread) takes panics; the other
+    /// side waits for that panic, then runs the remaining seven and
+    /// counts them in `completed`.
+    fn run_until_a_panic(
+        workers: &mut Workers<(), usize, ()>,
+        on_caller: bool,
+        completed: &Arc<AtomicUsize>,
+    ) -> Vec<usize> {
+        assert_eq!(workers.threads, 2);
+        let caller = std::thread::current().id();
+        let exploded = Arc::new(AtomicBool::new(false));
+        let completed = Arc::clone(completed);
+        workers.run(&[(); 8], move |(), i, ()| {
+            if (std::thread::current().id() == caller) == on_caller {
+                exploded.store(true, Ordering::SeqCst);
+                let side = if on_caller { "caller" } else { "helper" };
+                panic!("{side} exploded on item {i}");
+            }
+            wait_for(&exploded);
+            std::thread::sleep(Duration::from_millis(1));
+            completed.fetch_add(1, Ordering::SeqCst);
             i
-        });
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "helper exploded on item")]
+    fn a_helper_panic_reaches_the_caller_with_its_payload() {
+        let mut workers = Workers::new((), 2, |()| ());
+        run_until_a_panic(&mut workers, false, &Arc::new(AtomicUsize::new(0)));
+    }
+
+    #[test]
+    fn a_panic_waits_for_the_batch_and_leaves_the_next_one_clean() {
+        let mut workers = Workers::new((), 2, |()| ());
+        for on_caller in [false, true] {
+            let completed = Arc::new(AtomicUsize::new(0));
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                run_until_a_panic(&mut workers, on_caller, &completed)
+            }))
+            .expect_err("the panic propagates");
+            let side = if on_caller { "caller" } else { "helper" };
+            let message = panic_message(payload.as_ref());
+            assert!(
+                message.starts_with(&format!("{side} exploded")),
+                "{message}"
+            );
+            // Even a panicking caller collects the helper's reply first,
+            // so no worker is still running the batch.
+            assert_eq!(completed.load(Ordering::SeqCst), 7, "{side} panicked");
+            let items: Vec<usize> = (0..12).collect();
+            let outputs = workers.run(&items, |(), _, &item| item + 100);
+            assert_eq!(outputs, items.iter().map(|i| i + 100).collect::<Vec<_>>());
+        }
     }
 
     /// Runs `batch` through the pool, none of whose cases may abort.

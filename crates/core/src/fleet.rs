@@ -776,7 +776,6 @@ pub(crate) fn run_slice(
             fuzzer,
             pool,
             &member_cfg,
-            run.threads,
             &silent,
             metrics,
             state,
@@ -1214,6 +1213,12 @@ mod tests {
         assert!(matches!(
             FleetSpec::builder(ok).threads(0).build(),
             Err(SpecError::ZeroThreads)
+        ));
+        assert!(matches!(
+            FleetSpec::builder(ok)
+                .threads(crate::exec::MAX_THREADS + 1)
+                .build(),
+            Err(SpecError::TooManyThreads)
         ));
         assert!(matches!(
             FleetSpec::builder(ok).corpus_capacity(0).build(),

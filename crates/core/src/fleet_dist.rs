@@ -270,8 +270,10 @@ fn send_frame(writer: &Mutex<TcpStream>, payload: Payload) -> Result<(), WireErr
 /// grant doesn't carry.
 ///
 /// # Errors
-/// Connection and protocol failures; a lost coordinator simply ends
-/// the worker cleanly (it holds nothing worth saving).
+/// Connection and protocol failures, among them an `Assign` whose
+/// execution knobs [`RunConfig::validate`] rejects (more than
+/// [`crate::exec::MAX_THREADS`] threads, say); a lost coordinator
+/// simply ends the worker cleanly (it holds nothing worth saving).
 pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result<(), WireError> {
     let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
     let _ = stream.set_nodelay(true);
@@ -313,11 +315,15 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
             }
         };
 
-    let threads = (threads as usize).max(1);
+    let threads = usize::try_from(threads).unwrap_or(usize::MAX).max(1);
     let run = RunConfig::quick()
         .with_max_steps(max_steps)
         .with_batch((batch as usize).max(1))
         .with_threads(threads);
+    // The coordinator's spec was validated, but the frame may come from
+    // anywhere: check it before the pool exists.
+    run.validate()
+        .map_err(|e| WireError::Protocol(format!("assign rejected: {e}")))?;
     let executor = Executor::builder(core).max_steps(max_steps).build();
     let mut pool = ExecPool::new(executor, threads);
     let map_len = pool.coverage_map().len();

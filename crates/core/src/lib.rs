@@ -97,7 +97,8 @@ pub use control::StopHandle;
 pub use corpus::{coverage_signature, Corpus, GlobalCorpus, GlobalCorpusStats, GlobalEntry};
 pub use difftest::{Mismatch, MismatchKind, Signature, SignatureSet};
 pub use exec::{
-    BatchStats, CaseOutcome, CoverageBatch, ExecPool, FaultKind, FaultPlan, FaultPolicy, Throughput,
+    BatchStats, CaseOutcome, CoverageBatch, ExecPool, FaultKind, FaultPlan, FaultPolicy,
+    Throughput, MAX_THREADS,
 };
 pub use fleet::{
     run_fleet, FleetConfig, FleetMember, FleetResult, FleetSample, FleetSpec, FleetSpecBuilder,

@@ -456,6 +456,10 @@ mod tests {
                 "nonzero",
             ),
             (
+                r#"{"type":"job_spec","kind":"campaign","fuzzer":"difuzz","cases":5,"threads":1000000}"#,
+                "threads must be at most 64",
+            ),
+            (
                 r#"{"type":"job_spec","kind":"campaign","fuzzer":"difuzz","cases":5,"core":"z80"}"#,
                 "unknown core",
             ),
@@ -501,6 +505,12 @@ mod tests {
             mutate(job);
         }
         assert_eq!(bad.validate(), Err(SpecError::ZeroCases));
+        // Oversized too: validating a request starts no thread.
+        let mut oversized = good.clone();
+        if let RunRequest::Campaign(job) = &mut oversized {
+            job.run = job.run.with_threads(crate::exec::MAX_THREADS + 1);
+        }
+        assert_eq!(oversized.validate(), Err(SpecError::TooManyThreads));
 
         let fleet = RunRequest::Fleet(FleetRequest {
             members: vec![],
@@ -510,6 +520,14 @@ mod tests {
             checkpoint_every: 1,
         });
         assert_eq!(fleet.validate(), Err(SpecError::EmptyMembers));
+        let oversized = RunRequest::Fleet(FleetRequest {
+            members: vec![MemberSpec::new(FuzzerKind::Difuzz, 1, CoreKind::Rocket)],
+            epochs: 1,
+            cases_per_epoch: 4,
+            run: RunConfig::quick().with_threads(1_000_000),
+            checkpoint_every: 1,
+        });
+        assert_eq!(oversized.validate(), Err(SpecError::TooManyThreads));
     }
 
     #[test]

@@ -8,16 +8,19 @@
 //! and quorum are configured.
 
 use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hfl::baselines::{DifuzzRtlFuzzer, Feedback, Fuzzer, TestBody};
 use hfl::campaign::CheckpointPolicy;
+use hfl::exec::MAX_THREADS;
 use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetResult, FleetSpec};
-use hfl::fleet_dist::{run_fleet_dist, DistConfig, ThreadLauncher, WorkerFault};
+use hfl::fleet_dist::{run_fleet_dist, run_worker, DistConfig, ThreadLauncher, WorkerFault};
 use hfl::obs::{Event, RingSink, SinkHandle};
 use hfl::spec::{FuzzerKind, MemberSpec};
+use hfl::wire::{Frame, Payload, WireError};
 use hfl::StopHandle;
 use hfl_dut::CoreKind;
 use hfl_nn::PersistError;
@@ -404,4 +407,39 @@ fn in_process_fleet_reads_a_distributed_checkpoint() {
     assert!(resumed.result.completed);
     assert_results_match("dist checkpoint", &dist.result, &resumed.result);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_rejects_an_assign_above_the_thread_cap() {
+    // A frame from anywhere may ask for any pool size; the worker must
+    // refuse it with a typed error before it builds a pool.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+    let addr = listener.local_addr().expect("local address").to_string();
+    let worker = std::thread::spawn(move || run_worker(&addr, 3, None));
+    let (mut stream, _) = listener.accept().expect("the worker connects");
+    let hello = Frame::read_from(&mut stream).expect("hello frame");
+    assert!(matches!(hello.payload, Payload::Hello { worker: 3 }));
+    Frame::new(Payload::Assign {
+        member: 0,
+        name: String::from("difuzz-1"),
+        core: CoreKind::Rocket,
+        fuzzer: FuzzerKind::Difuzz,
+        seed: 1,
+        max_steps: 3_000,
+        batch: 4,
+        threads: 1_000_000,
+        heartbeat_millis: 1_000,
+    })
+    .write_to(&mut stream)
+    .expect("send assign");
+    // Had the worker accepted, it would now wait for a grant: closing
+    // the connection ends it instead of hanging the test.
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    match worker.join().expect("the worker returns") {
+        Err(WireError::Protocol(message)) => assert!(
+            message.contains(&format!("threads must be at most {MAX_THREADS}")),
+            "{message}"
+        ),
+        other => panic!("expected a protocol error naming threads, got {other:?}"),
+    }
 }
