@@ -5,8 +5,8 @@
 //! Measures the GRM interpreter both ways (per-step fetch+decode vs the
 //! predecoded image with the superinstruction block path), the
 //! instrumented DUT per core on the predecoded dispatch, and end-to-end
-//! difftest cases/sec through the `Executor` (assemble + predecode cache
-//! + DUT + the GRM checking the DUT's trace).
+//! difftest cases/sec through the `Executor` (assemble + predecode + DUT
+//! + the GRM checking the DUT's trace).
 //!
 //! ```text
 //! cargo run --release -p hfl-bench --bin bench_sim -- \
@@ -38,7 +38,7 @@ use hfl_riscv::{Instruction, Opcode, Reg};
 const STEP_BUDGET: u64 = 200_000;
 /// ALU ops per loop iteration before the back-edge.
 const LOOP_BODY: usize = 256;
-/// Distinct difftest bodies (executed twice each to exercise the cache).
+/// Distinct difftest bodies (each runs twice per timed pass).
 const DIFFTEST_BODIES: usize = 32;
 
 /// Median-of-runs seconds per call of `f`.

@@ -125,12 +125,8 @@ fn main() {
         fail("--members is empty");
     }
 
-    let sink = match JsonlSink::create(&log) {
-        Ok(sink) => SinkHandle::new(Arc::new(sink)),
-        Err(err) => fail(&format!("{log}: {err}")),
-    };
     let config = FleetConfig::quick(epochs, cases_per_epoch).with_batch(batch);
-    let mut builder = FleetSpec::builder(config).threads(threads).sink(sink);
+    let mut builder = FleetSpec::builder(config).threads(threads);
     if let Some(dir) = &checkpoint_dir {
         builder = builder.checkpoint(hfl::campaign::CheckpointPolicy::new(dir, checkpoint_every));
         if resume {
@@ -142,9 +138,16 @@ fn main() {
     } else if resume {
         fail("--resume needs --checkpoint-dir");
     }
-    let spec = builder
-        .build()
-        .unwrap_or_else(|err| fail(&format!("invalid spec: {err}")));
+    // Creating the log truncates an earlier one, so it waits until the
+    // run is known to be valid.
+    if let Err(err) = builder.clone().build() {
+        fail(&format!("invalid spec: {err}"));
+    }
+    let sink = match JsonlSink::create(&log) {
+        Ok(sink) => SinkHandle::new(Arc::new(sink)),
+        Err(err) => fail(&format!("{log}: {err}")),
+    };
+    let spec = builder.sink(sink).build().expect("the spec was validated");
 
     let result: FleetResult = if distributed {
         let mut launcher: Box<dyn WorkerLauncher> = match &worker_bin {

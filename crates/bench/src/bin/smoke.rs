@@ -103,10 +103,6 @@ fn main() {
     let bug = arg_value(&args, "--bug");
     let mhart = args.iter().any(|a| a == "--mhart") || bug.is_some();
 
-    let sink = match JsonlSink::create(&log) {
-        Ok(sink) => SinkHandle::new(Arc::new(sink)),
-        Err(err) => fail(&format!("{log}: {err}")),
-    };
     let mut fuzzer: Box<dyn Fuzzer> = match &bug {
         // The sweep always starts at interleaving seed 0: the defect
         // matrix guarantees every class is exposed within 0..64.
@@ -125,8 +121,7 @@ fn main() {
     let config = CampaignConfig::quick(cases).with_batch(batch);
     let mut builder = CampaignSpec::builder(CoreKind::Rocket, config)
         .mhart(mhart)
-        .threads(threads)
-        .sink(sink);
+        .threads(threads);
     if let Some(id) = &bug {
         let mut quirks = hfl_grm::cpu::Quirks::default();
         hfl_dut::bugs::enable(&mut quirks, id, CoreKind::Rocket);
@@ -160,9 +155,16 @@ fn main() {
             fuel: None,
         });
     }
-    let spec = builder
-        .build()
-        .unwrap_or_else(|err| fail(&format!("invalid spec: {err}")));
+    // Creating the log truncates an earlier one, so it waits until the
+    // run is known to be valid.
+    if let Err(err) = builder.clone().build() {
+        fail(&format!("invalid spec: {err}"));
+    }
+    let sink = match JsonlSink::create(&log) {
+        Ok(sink) => SinkHandle::new(Arc::new(sink)),
+        Err(err) => fail(&format!("{log}: {err}")),
+    };
+    let spec = builder.sink(sink).build().expect("the spec was validated");
     let result = match run_campaign(fuzzer.as_mut(), &spec) {
         Ok(result) => result,
         Err(err) => fail(&format!("campaign failed: {err}")),

@@ -22,7 +22,7 @@ use crate::persist::{read_program, read_rng, write_program, write_rng};
 use crate::tokens::head_sizes;
 
 /// A generated test-case body: assembly-level or raw words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TestBody {
     /// Assembly-level instructions (DifuzzRTL/Cascade-style generators).
     Asm(Vec<Instruction>),
@@ -31,9 +31,8 @@ pub enum TestBody {
     /// A multi-hart SPMD case: one assembly body run on every hart of the
     /// two-hart system DUT, under the interleaving selected by
     /// `sched_seed`. The seed is part of the case identity (and thus of
-    /// the derived `PartialEq`/`Hash` the predecode cache keys on): two
-    /// cases with the same body but different seeds exercise different
-    /// schedules and must never alias.
+    /// the derived `PartialEq`): two cases with the same body but
+    /// different seeds exercise different schedules.
     Mhart {
         /// The SPMD body (every hart runs it; `x30` carries the hart id).
         body: Vec<Instruction>,

@@ -116,8 +116,13 @@ impl RunConfig {
         self
     }
 
-    /// Validates the shared knobs (both spec builders call this; the
-    /// service layer calls it when vetting a submitted `JobSpec`).
+    /// Validates the shared knobs. [`CampaignConfig::validate`] and
+    /// [`crate::fleet::FleetConfig::validate`] call this after their own
+    /// checks.
+    ///
+    /// # Errors
+    /// The first violated rule: zero step budget, zero batch, zero
+    /// threads, or more than [`MAX_THREADS`] threads.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.max_steps == 0 {
             return Err(SpecError::ZeroMaxSteps);
@@ -180,6 +185,23 @@ impl CampaignConfig {
     #[must_use]
     pub fn batch(&self) -> usize {
         self.run.batch
+    }
+
+    /// Validates the case budget, the sampling stride and then the
+    /// shared knobs ([`RunConfig::validate`]). The spec builder and
+    /// [`crate::spec::RunRequest::validate`] both call this.
+    ///
+    /// # Errors
+    /// The first violated rule: zero cases, zero sampling stride, or a
+    /// [`RunConfig`] error.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.cases == 0 {
+            return Err(SpecError::ZeroCases);
+        }
+        if self.sample_every == 0 {
+            return Err(SpecError::ZeroSampleEvery);
+        }
+        self.run.validate()
     }
 }
 
@@ -643,13 +665,7 @@ impl CampaignSpecBuilder {
     /// interval, zero step budget, zero batch, zero threads, or a
     /// checkpoint interval of zero rounds.
     pub fn build(self) -> Result<CampaignSpec, SpecError> {
-        if self.config.cases == 0 {
-            return Err(SpecError::ZeroCases);
-        }
-        if self.config.sample_every == 0 {
-            return Err(SpecError::ZeroSampleEvery);
-        }
-        self.config.run.validate()?;
+        self.config.validate()?;
         if let Some(checkpoint) = &self.checkpoint {
             if checkpoint.every_rounds == 0 {
                 return Err(SpecError::ZeroCheckpointInterval);
@@ -1363,12 +1379,6 @@ pub(crate) fn run_round(
     metrics.observe("phase.difftest.seconds", difftest_seconds);
     metrics.observe("phase.train.seconds", train_started.elapsed().as_secs_f64());
     metrics.inc("campaign.rounds", 1);
-    // Lifetime cache totals, set absolutely: which worker served a case
-    // is schedule-dependent above one thread, but hits + misses always
-    // equals the cases the pool has run.
-    let (predecode_hits, predecode_misses) = pool.predecode_stats();
-    metrics.restore_counter("sim.predecode.hits", predecode_hits);
-    metrics.restore_counter("sim.predecode.misses", predecode_misses);
     if sink.enabled() {
         // Occupancy first: `RoundEnd` closes the round, so a replayer
         // can resolve the batch's utilisation when it sees it.

@@ -78,49 +78,42 @@ where
     }
 }
 
-/// A helper's answer to one batch: its id, then its tagged outputs and
-/// its report, or the payload of a panic that escaped the function.
-type Reply<T, R> = (usize, thread::Result<(Vec<(usize, T)>, R)>);
+/// A helper's answer to one batch: its tagged outputs, or the payload
+/// of a panic that escaped the function.
+type Reply<T> = thread::Result<Vec<(usize, T)>>;
 
 /// What wakes a parked helper: the batch, and where to send its reply.
-type Order<W, T, R> = (Arc<dyn Job<W, T>>, Sender<Reply<T, R>>);
+type Order<W, T> = (Arc<dyn Job<W, T>>, Sender<Reply<T>>);
 
-struct Helper<W, T, R> {
-    orders: Sender<Order<W, T, R>>,
+struct Helper<W, T> {
+    orders: Sender<Order<W, T>>,
     thread: JoinHandle<()>,
 }
 
 /// The threads a pool runs its batches on. Worker 0 is the calling
 /// thread with its own worker state `W`; each helper thread holds a
 /// clone of the prototype for as long as the pool lives and parks on its
-/// order channel between batches. `T` is the output per item and `R`
-/// what a helper reports about its state with each reply.
-struct Workers<W, T, R> {
+/// order channel between batches. `T` is the output per item.
+struct Workers<W, T> {
     prototype: Arc<W>,
     local: W,
     threads: usize,
-    report: fn(&W) -> R,
-    helpers: Vec<Helper<W, T, R>>,
-    /// The latest report of each helper, in helper order.
-    reports: Vec<R>,
+    helpers: Vec<Helper<W, T>>,
 }
 
-impl<W, T, R> Workers<W, T, R>
+impl<W, T> Workers<W, T>
 where
     W: Clone + Send + Sync + 'static,
     T: Send + 'static,
-    R: Copy + Send + 'static,
 {
     /// `threads` workers (at least one) cloned from `prototype`. Spawns
     /// nothing: helpers start with the first batch that needs them.
-    fn new(prototype: W, threads: usize, report: fn(&W) -> R) -> Self {
+    fn new(prototype: W, threads: usize) -> Self {
         Workers {
             local: prototype.clone(),
             prototype: Arc::new(prototype),
             threads: threads.max(1),
-            report,
             helpers: Vec::new(),
-            reports: Vec::new(),
         }
     }
 
@@ -173,12 +166,8 @@ where
         };
         let mut escaped = None;
         for _ in 0..woken {
-            let (id, reply) = inbox.recv().expect("a pool helper exited without replying");
-            match reply {
-                Ok((outputs, report)) => {
-                    self.reports[id] = report;
-                    place(outputs);
-                }
+            match inbox.recv().expect("a pool helper exited without replying") {
+                Ok(outputs) => place(outputs),
                 Err(payload) => {
                     escaped.get_or_insert(payload);
                 }
@@ -197,37 +186,26 @@ where
     /// Spawns helpers until there are `count`.
     fn spawn_helpers(&mut self, count: usize) {
         while self.helpers.len() < count {
-            let id = self.helpers.len();
             let mut worker = W::clone(&self.prototype);
-            let report = self.report;
-            self.reports.push(report(&worker));
-            let (orders, parked) = mpsc::channel::<Order<W, T, R>>();
+            let (orders, parked) = mpsc::channel::<Order<W, T>>();
             let thread = thread::Builder::new()
-                .name(format!("exec-pool-{}", id + 1))
+                .name(format!("exec-pool-{}", self.helpers.len() + 1))
                 .spawn(move || {
                     for (job, replies) in parked {
-                        let reply = catch_unwind(AssertUnwindSafe(|| {
-                            let outputs = job.drain(&mut worker);
-                            (outputs, report(&worker))
-                        }));
+                        let reply = catch_unwind(AssertUnwindSafe(|| job.drain(&mut worker)));
                         drop(job);
                         // The caller waits for this reply, so the send
                         // only fails if the caller is gone.
-                        let _ = replies.send((id, reply));
+                        let _ = replies.send(reply);
                     }
                 })
                 .expect("failed to spawn an execution-pool helper thread");
             self.helpers.push(Helper { orders, thread });
         }
     }
-
-    /// The report of every worker, the calling thread's first.
-    fn reports(&self) -> impl Iterator<Item = R> + '_ {
-        std::iter::once((self.report)(&self.local)).chain(self.reports.iter().copied())
-    }
 }
 
-impl<W, T, R> Drop for Workers<W, T, R> {
+impl<W, T> Drop for Workers<W, T> {
     /// Closes every order channel, which ends each helper's loop, then
     /// joins the helpers.
     fn drop(&mut self) {
@@ -244,12 +222,11 @@ impl<W, T, R> Drop for Workers<W, T, R> {
     }
 }
 
-impl<W, T, R: fmt::Debug> fmt::Debug for Workers<W, T, R> {
+impl<W, T> fmt::Debug for Workers<W, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Workers")
             .field("threads", &self.threads)
             .field("helpers", &self.helpers.len())
-            .field("reports", &self.reports)
             .finish_non_exhaustive()
     }
 }
@@ -664,9 +641,8 @@ impl CoverageBatch {
 pub struct ExecPool {
     /// The calling thread's executor, the helpers, and the pristine
     /// prototype that replaces poisoned workers (every run starts the
-    /// DUT from reset, so clones behave identically). Helpers report
-    /// their predecode-cache `(hits, misses)` with each reply.
-    workers: Workers<Executor, (CaseOutcome, Duration), (u64, u64)>,
+    /// DUT from reset, so clones behave identically).
+    workers: Workers<Executor, (CaseOutcome, Duration)>,
     policy: FaultPolicy,
     plan: Option<Arc<FaultPlan>>,
     batches: u64,
@@ -684,11 +660,7 @@ impl ExecPool {
     #[must_use]
     pub fn new(prototype: Executor, threads: usize) -> ExecPool {
         ExecPool {
-            workers: Workers::new(
-                prototype,
-                threads.min(MAX_THREADS),
-                Executor::predecode_stats,
-            ),
+            workers: Workers::new(prototype, threads.min(MAX_THREADS)),
             policy: FaultPolicy::default(),
             plan: None,
             batches: 0,
@@ -819,19 +791,6 @@ impl ExecPool {
         self.last_batch
     }
 
-    /// Summed predecode-cache `(hits, misses)` across all workers (the
-    /// campaign surfaces them as `sim.predecode.*` metrics); a helper's
-    /// share is the one it reported with its latest reply. Which
-    /// worker serves which case is schedule-dependent above one thread,
-    /// but the totals are not: each body is prepared exactly once per
-    /// batch slot, so `hits + misses` equals cases run.
-    #[must_use]
-    pub fn predecode_stats(&self) -> (u64, u64) {
-        self.workers
-            .reports()
-            .fold((0, 0), |(h, m), (wh, wm)| (h + wh, m + wm))
-    }
-
     /// Throughput counters so far. `wall_seconds` is taken from the
     /// caller's clock (the campaign measures generation + feedback too);
     /// `instructions` is the total the DUT retired.
@@ -877,15 +836,15 @@ mod tests {
         TestBody::Asm(vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, imm)])
     }
 
-    /// Workers whose state is nothing and who report nothing: the tests
-    /// below drive the thread machinery with plain closures.
-    fn bare(threads: usize) -> Workers<(), std::thread::ThreadId, ()> {
-        Workers::new((), threads, |()| ())
+    /// Workers whose state is nothing: the tests below drive the thread
+    /// machinery with plain closures.
+    fn bare(threads: usize) -> Workers<(), std::thread::ThreadId> {
+        Workers::new((), threads)
     }
 
     #[test]
     fn workers_merge_in_submission_order_with_more_items_than_workers() {
-        let mut workers: Workers<usize, usize, ()> = Workers::new(10, 3, |_| ());
+        let mut workers: Workers<usize, usize> = Workers::new(10, 3);
         let items: Vec<usize> = (0..40).collect();
         let results = workers.run(&items, |_, i, &item| {
             // Uneven costs shuffle which worker finishes what.
@@ -945,7 +904,6 @@ mod tests {
         assert_eq!(workers.helpers.len(), 2, "three items need two helpers");
         workers.run(&[(); 5], |(), _, ()| std::thread::current().id());
         assert_eq!(workers.helpers.len(), 4, "helpers are spawned on demand");
-        assert_eq!(workers.reports.len(), 4);
     }
 
     /// Worker state that counts its drops. Away from the thread that
@@ -973,7 +931,7 @@ mod tests {
             dropped: Arc::clone(&dropped),
             owner: std::thread::current().id(),
         };
-        let mut workers: Workers<SlowDrop, usize, ()> = Workers::new(prototype, 3, |_| ());
+        let mut workers: Workers<SlowDrop, usize> = Workers::new(prototype, 3);
         workers.run(&[(); 6], |_, i, ()| i);
         assert_eq!(workers.helpers.len(), 2);
         drop(workers);
@@ -995,7 +953,7 @@ mod tests {
     /// side waits for that panic, then runs the remaining seven and
     /// counts them in `completed`.
     fn run_until_a_panic(
-        workers: &mut Workers<(), usize, ()>,
+        workers: &mut Workers<(), usize>,
         on_caller: bool,
         completed: &Arc<AtomicUsize>,
     ) -> Vec<usize> {
@@ -1019,13 +977,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "helper exploded on item")]
     fn a_helper_panic_reaches_the_caller_with_its_payload() {
-        let mut workers = Workers::new((), 2, |()| ());
+        let mut workers = Workers::new((), 2);
         run_until_a_panic(&mut workers, false, &Arc::new(AtomicUsize::new(0)));
     }
 
     #[test]
     fn a_panic_waits_for_the_batch_and_leaves_the_next_one_clean() {
-        let mut workers = Workers::new((), 2, |()| ());
+        let mut workers = Workers::new((), 2);
         for on_caller in [false, true] {
             let completed = Arc::new(AtomicUsize::new(0));
             let payload = catch_unwind(AssertUnwindSafe(|| {
@@ -1304,20 +1262,5 @@ mod tests {
         assert_eq!(rows.rows(), 2);
         assert_eq!(rows.words_per_row(), 0);
         assert!(rows.row(0).is_empty() && rows.row(1).is_empty());
-    }
-
-    #[test]
-    fn pool_predecode_stats_sum_hits_and_misses_across_workers() {
-        let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
-        // Two distinct bodies, each submitted twice per batch, twice.
-        let batch = vec![addi_body(1), addi_body(2), addi_body(1), addi_body(2)];
-        completed(&mut pool, &batch);
-        completed(&mut pool, &batch);
-        let (hits, misses) = pool.predecode_stats();
-        assert_eq!(hits + misses, 8, "one prepare per case run");
-        // Each worker lowers a body it has not seen at most once, so
-        // misses never exceed workers × distinct bodies.
-        assert!(misses <= 4);
-        assert!(hits >= 4);
     }
 }

@@ -116,6 +116,23 @@ impl FleetConfig {
         self.run = self.run.with_batch(batch);
         self
     }
+
+    /// Validates the epoch count, the per-epoch budget and then the
+    /// shared knobs ([`RunConfig::validate`]). The spec builder and
+    /// [`crate::spec::RunRequest::validate`] both call this.
+    ///
+    /// # Errors
+    /// The first violated rule: zero epochs, a zero per-epoch budget, or
+    /// a [`RunConfig`] error.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.epochs == 0 {
+            return Err(SpecError::ZeroEpochs);
+        }
+        if self.cases_per_epoch == 0 {
+            return Err(SpecError::ZeroCasesPerEpoch);
+        }
+        self.run.validate()
+    }
 }
 
 /// One member campaign of a fleet: a display name, the core it fuzzes
@@ -340,13 +357,7 @@ impl FleetSpecBuilder {
     /// budget, zero step budget, zero batch, zero threads, zero corpus
     /// capacity, or a checkpoint interval of zero epochs.
     pub fn build(self) -> Result<FleetSpec, SpecError> {
-        if self.config.epochs == 0 {
-            return Err(SpecError::ZeroEpochs);
-        }
-        if self.config.cases_per_epoch == 0 {
-            return Err(SpecError::ZeroCasesPerEpoch);
-        }
-        self.config.run.validate()?;
+        self.config.validate()?;
         if self.corpus_capacity == 0 {
             return Err(SpecError::ZeroCorpusCapacity);
         }

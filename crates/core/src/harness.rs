@@ -6,7 +6,7 @@ use hfl_riscv::Instruction;
 
 use crate::baselines::TestBody;
 use crate::difftest::{check, compare, Mismatch};
-use crate::predecode::{PredecodeCache, PreparedCase};
+use crate::predecode::PreparedCase;
 
 /// Default per-test step budget (generated tests are short; the budget
 /// exists to bound accidental loops).
@@ -96,13 +96,29 @@ impl ExecutorBuilder {
         let quirks = self
             .quirks
             .unwrap_or_else(|| hfl_dut::quirks_for(self.kind));
+        let sim = if self.mhart {
+            Sim::Mhart(self.kind, MhartMachine::new(quirks))
+        } else {
+            Sim::Single(Dut::with_quirks(self.kind, quirks))
+        };
         Executor {
-            mhart: self.mhart.then(|| MhartMachine::new(quirks.clone())),
-            dut: Dut::with_quirks(self.kind, quirks),
+            sim,
             max_steps: self.max_steps,
-            cache: PredecodeCache::default(),
         }
     }
+}
+
+/// The one simulator an executor runs its cases on.
+//
+// An executor holds exactly one `Sim` and never a collection of them, so
+// the variants' size difference costs nothing worth a `Box`.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Sim {
+    /// A single instrumented core.
+    Single(Dut),
+    /// The two-hart system; the kind is what [`Executor::core`] reports.
+    Mhart(CoreKind, MhartMachine),
 }
 
 /// Runs programs on a `(DUT, GRM)` pair for one core.
@@ -127,14 +143,8 @@ impl ExecutorBuilder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Executor {
-    dut: Dut,
-    /// The two-hart system machine, when the executor runs in mhart mode.
-    mhart: Option<MhartMachine>,
+    sim: Sim,
     max_steps: u64,
-    /// Worker-local predecode cache: lock-free, and invisible to results
-    /// (lookups compare full bodies — including any `sched_seed` — so
-    /// stale hits cannot occur).
-    cache: PredecodeCache,
 }
 
 impl Executor {
@@ -152,122 +162,114 @@ impl Executor {
     /// The core under test.
     #[must_use]
     pub fn core(&self) -> CoreKind {
-        self.dut.kind()
+        match &self.sim {
+            Sim::Single(dut) => dut.kind(),
+            Sim::Mhart(kind, _) => *kind,
+        }
     }
 
     /// Whether the executor runs the two-hart system configuration.
     #[must_use]
     pub fn is_mhart(&self) -> bool {
-        self.mhart.is_some()
+        matches!(self.sim, Sim::Mhart(..))
     }
 
     /// The coverage-point database (the system-level one in mhart mode).
     #[must_use]
     pub fn coverage_map(&self) -> &hfl_dut::CoverageMap {
-        match &self.mhart {
-            Some(machine) => machine.coverage_map(),
-            None => self.dut.coverage_map(),
+        match &self.sim {
+            Sim::Single(dut) => dut.coverage_map(),
+            Sim::Mhart(_, machine) => machine.coverage_map(),
         }
     }
 
     /// Runs one test body — the single execution path every campaign and
     /// pool worker goes through, whichever representation the fuzzer
-    /// emitted. The body's lowering (assemble + predecode) is served from
-    /// the executor's [`PredecodeCache`], so re-executions of the same
-    /// body (screening, minimisation, triage) skip it entirely.
+    /// emitted. The body is lowered ([`PreparedCase::lower`]) once, and
+    /// both the DUT and the GRM step over that image.
     pub fn run(&mut self, body: &TestBody) -> CaseResult {
-        let prepared = self.cache.prepare(body);
-        if self.mhart.is_some() {
-            return self.run_mhart(&prepared, body.sched_seed().unwrap_or(0));
+        let case = PreparedCase::lower(body);
+        match &mut self.sim {
+            Sim::Single(dut) => run_single(dut, &case, self.max_steps),
+            Sim::Mhart(_, machine) => run_mhart(
+                machine,
+                &case,
+                body.sched_seed().unwrap_or(0),
+                self.max_steps,
+            ),
         }
-        self.run_prepared(&prepared)
     }
 
     /// Runs a test-case body given as instructions.
     pub fn run_case(&mut self, body: &[Instruction]) -> CaseResult {
         self.run(&TestBody::Asm(body.to_vec()))
     }
+}
 
-    /// `(hits, misses)` of this executor's predecode cache since
-    /// construction.
-    #[must_use]
-    pub fn predecode_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
-    /// Runs one case on the two-hart system machine and folds the per-hart
-    /// outcomes into the single-hart [`CaseResult`] shape the rest of the
-    /// pipeline (pools, campaigns, coverage batching) consumes: hart 0
-    /// fills the scalar trace/state fields, coverage is the system-level
-    /// snapshot, and `mismatches` merges the per-hart difftests. The
-    /// machine replays both reference harts in full, because each one's
-    /// stores reach the other, so their traces are compared whole.
-    fn run_mhart(&mut self, prepared: &PreparedCase, sched_seed: u64) -> CaseResult {
-        let machine = self.mhart.as_mut().expect("mhart mode");
-        let dut_started = std::time::Instant::now();
-        let result = machine.run_predecoded(
-            &prepared.program,
-            &prepared.image,
-            sched_seed,
-            self.max_steps,
-        );
-        let diff_started = std::time::Instant::now();
-        let mut mismatches = Vec::new();
-        for (hart, (d, r)) in result.harts.iter().zip(&result.reference).enumerate() {
-            let mut found = compare(&r.trace, r.halt, &r.arch, &d.trace, d.halt, &d.arch);
-            for m in &mut found {
-                m.detail = format!("hart {hart}: {}", m.detail);
-            }
-            mismatches.extend(found);
+/// Runs one case on the two-hart system machine and folds the per-hart
+/// outcomes into the single-hart [`CaseResult`] shape the rest of the
+/// pipeline (pools, campaigns, coverage batching) consumes: hart 0 fills
+/// the scalar trace/state fields, coverage is the system-level snapshot,
+/// and `mismatches` merges the per-hart difftests. The machine replays
+/// both reference harts in full, because each one's stores reach the
+/// other, so their traces are compared whole.
+fn run_mhart(
+    machine: &mut MhartMachine,
+    case: &PreparedCase,
+    sched_seed: u64,
+    max_steps: u64,
+) -> CaseResult {
+    let dut_started = std::time::Instant::now();
+    let result = machine.run_predecoded(&case.program, &case.image, sched_seed, max_steps);
+    let diff_started = std::time::Instant::now();
+    let mut mismatches = Vec::new();
+    for (hart, (d, r)) in result.harts.iter().zip(&result.reference).enumerate() {
+        let mut found = compare(&r.trace, r.halt, &r.arch, &d.trace, d.halt, &d.arch);
+        for m in &mut found {
+            m.detail = format!("hart {hart}: {}", m.detail);
         }
-        let done = std::time::Instant::now();
-        let MhartResult {
-            harts: [dut0, dut1],
+        mismatches.extend(found);
+    }
+    let done = std::time::Instant::now();
+    let MhartResult {
+        harts: [dut0, dut1],
+        coverage,
+        scheduled_steps,
+        ..
+    } = result;
+    CaseResult {
+        dut: DutResult {
+            halt: dut0.halt,
+            steps: dut0.steps + dut1.steps,
+            cycles: scheduled_steps,
+            trace: dut0.trace,
+            arch: dut0.arch,
             coverage,
-            scheduled_steps,
-            ..
-        } = result;
-        CaseResult {
-            dut: DutResult {
-                halt: dut0.halt,
-                steps: dut0.steps + dut1.steps,
-                cycles: scheduled_steps,
-                trace: dut0.trace,
-                arch: dut0.arch,
-                coverage,
-            },
-            mismatches,
-            timing: CaseTiming {
-                dut_seconds: (diff_started - dut_started).as_secs_f64(),
-                difftest_seconds: (done - diff_started).as_secs_f64(),
-            },
-        }
+        },
+        mismatches,
+        timing: CaseTiming {
+            dut_seconds: (diff_started - dut_started).as_secs_f64(),
+            difftest_seconds: (done - diff_started).as_secs_f64(),
+        },
     }
+}
 
-    /// Runs a prepared (assembled + predecoded) case on the DUT, then
-    /// checks the GRM against the DUT's trace ([`check`]).
-    fn run_prepared(&mut self, prepared: &PreparedCase) -> CaseResult {
-        let (program, image) = (&*prepared.program, &*prepared.image);
-        let dut_started = std::time::Instant::now();
-        let dut = self.dut.run_predecoded(program, image, self.max_steps);
-        let check_started = std::time::Instant::now();
-        let mismatches = check(
-            program,
-            image,
-            self.max_steps,
-            &dut.trace,
-            dut.halt,
-            &dut.arch,
-        );
-        let done = std::time::Instant::now();
-        CaseResult {
-            dut,
-            mismatches,
-            timing: CaseTiming {
-                dut_seconds: (check_started - dut_started).as_secs_f64(),
-                difftest_seconds: (done - check_started).as_secs_f64(),
-            },
-        }
+/// Runs a lowered case on the single-hart DUT, then checks the GRM
+/// against the DUT's trace ([`check`]).
+fn run_single(dut: &mut Dut, case: &PreparedCase, max_steps: u64) -> CaseResult {
+    let (program, image) = (&case.program, &case.image);
+    let dut_started = std::time::Instant::now();
+    let dut = dut.run_predecoded(program, image, max_steps);
+    let check_started = std::time::Instant::now();
+    let mismatches = check(program, image, max_steps, &dut.trace, dut.halt, &dut.arch);
+    let done = std::time::Instant::now();
+    CaseResult {
+        dut,
+        mismatches,
+        timing: CaseTiming {
+            dut_seconds: (check_started - dut_started).as_secs_f64(),
+            difftest_seconds: (done - check_started).as_secs_f64(),
+        },
     }
 }
 

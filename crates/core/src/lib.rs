@@ -114,7 +114,7 @@ pub use harness::{CaseResult, CaseTiming, Executor, ExecutorBuilder};
 pub use obs::{
     Event, EventSink, JsonlSink, Metrics, MetricsSnapshot, NullSink, RingSink, SinkHandle,
 };
-pub use predecode::{PredecodeCache, PreparedCase};
+pub use predecode::PreparedCase;
 pub use predictor::{CoveragePredictor, PredictorConfig, ValuePredictor};
 pub use scenario::{Scenario, ScenarioConfig, ScenarioFuzzer};
 pub use spec::{

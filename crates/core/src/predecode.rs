@@ -1,326 +1,73 @@
-//! The predecode cache: assemble + predecode each distinct case body
-//! once, however many times it is re-executed.
+//! Lowering a case body for the simulators: assemble it, then predecode
+//! its executable window.
 //!
-//! Screening, minimisation, triage and difftest all re-run the same
-//! bodies — minimisation alone re-executes dozens of close variants of
-//! one case. [`PredecodeCache`] memoises the `TestBody → (Program,
-//! PredecodedProgram)` lowering behind a small LRU, so repeat executions
-//! skip both the assembler and the whole-window predecode and go straight
-//! to the fast dispatch path.
-//!
-//! The cache is deliberately *per-executor* (each `ExecPool` worker owns
-//! its own): no locks on the hot path, and — because a lookup compares
-//! the full body for equality, never just a hash — a mutated body can
-//! never hit a stale entry, keeping worker-local caching invisible to
-//! campaign determinism. Hit/miss counters feed the `sim.predecode.*`
-//! metrics.
-
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+//! A campaign runs each case once on the DUT and once on the GRM, and
+//! every case is a new program, so [`PreparedCase::lower`] runs once per
+//! executed case and nothing keeps a lowering. Both simulators step over
+//! the one image it builds.
 
 use hfl_grm::{PredecodedProgram, Program};
 
 use crate::baselines::TestBody;
 
-/// Default number of cached bodies per executor. Minimisation works on
-/// one case at a time and rounds re-screen a handful of survivors, so a
-/// few dozen entries give near-perfect hit rates without measurable
-/// memory cost (an image is ~24 KiB).
-pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
 /// A body lowered once: the assembled program plus its predecoded image,
-/// both shared so re-executions and the DUT/GRM pair clone pointers, not
-/// programs.
+/// which the DUT and the GRM both step over.
 #[derive(Debug, Clone)]
 pub struct PreparedCase {
     /// The assembled program.
-    pub program: Arc<Program>,
+    pub program: Program,
     /// The predecoded executable-window image of `program`.
-    pub image: Arc<PredecodedProgram>,
+    pub image: PredecodedProgram,
 }
 
 impl PreparedCase {
-    /// Lowers an assembled program into a prepared case.
+    /// Assembles `body` and predecodes the program. A pure function of
+    /// the body: a multi-hart body's `sched_seed` selects the runtime
+    /// interleaving, not the program, so it does not change the lowering.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hfl::baselines::TestBody;
+    /// use hfl::predecode::PreparedCase;
+    /// use hfl_riscv::{Instruction, Opcode, Reg};
+    ///
+    /// let body = vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 1)];
+    /// let single = PreparedCase::lower(&TestBody::Asm(body.clone()));
+    /// let mhart = PreparedCase::lower(&TestBody::Mhart { body, sched_seed: 7 });
+    /// assert_eq!(single.program.words, mhart.program.words);
+    /// assert_eq!(single.image, mhart.image);
+    /// ```
     #[must_use]
-    pub fn new(program: Program) -> PreparedCase {
-        let image = Arc::new(PredecodedProgram::new(&program));
+    pub fn lower(body: &TestBody) -> PreparedCase {
+        let program = match body {
+            TestBody::Asm(instructions)
+            | TestBody::Mhart {
+                body: instructions, ..
+            } => Program::assemble(instructions),
+            TestBody::Words(words) => Program::assemble_raw(words),
+        };
         PreparedCase {
-            program: Arc::new(program),
-            image,
+            image: PredecodedProgram::new(&program),
+            program,
         }
     }
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
-    /// Hash prefilter only — equality of `body` decides a hit.
-    key_hash: u64,
-    body: TestBody,
-    prepared: PreparedCase,
-    last_used: u64,
-}
-
-/// An LRU cache over body lowerings (see module docs).
+/// A stateless second name for [`PreparedCase::lower`]:
+/// [`PredecodeCache::prepare`] lowers the body and keeps nothing.
 ///
-/// # Examples
-///
-/// ```
-/// use hfl::baselines::TestBody;
-/// use hfl::predecode::PredecodeCache;
-/// use hfl_riscv::{Instruction, Opcode, Reg};
-///
-/// let mut cache = PredecodeCache::new(8);
-/// let body = TestBody::Asm(vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 1)]);
-/// let first = cache.prepare(&body);
-/// let again = cache.prepare(&body);
-/// assert!(std::sync::Arc::ptr_eq(&first.image, &again.image));
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PredecodeCache {
-    capacity: usize,
-    slots: Vec<Slot>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for PredecodeCache {
-    fn default() -> Self {
-        PredecodeCache::new(DEFAULT_CACHE_CAPACITY)
-    }
-}
+/// It exists only because the benchmark's traced side pass
+/// (`e2ebench/src/trace.rs`) builds one and calls `prepare`, and that
+/// file changes only together with the benchmark. Nothing else uses it;
+/// call [`PreparedCase::lower`] instead.
+#[derive(Debug, Clone, Default)]
+pub struct PredecodeCache;
 
 impl PredecodeCache {
-    /// Creates a cache holding at most `capacity` bodies.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Lowers `body`; see [`PreparedCase::lower`].
     #[must_use]
-    pub fn new(capacity: usize) -> PredecodeCache {
-        assert!(capacity > 0, "cache capacity must be positive");
-        PredecodeCache {
-            capacity,
-            slots: Vec::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn key_hash(body: &TestBody) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        body.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    /// Returns the lowering of `body`, assembling and predecoding it on
-    /// first sight and evicting the least-recently-used entry when full.
-    pub fn prepare(&mut self, body: &TestBody) -> PreparedCase {
-        let hash = Self::key_hash(body);
-        self.tick += 1;
-        if let Some(slot) = self
-            .slots
-            .iter_mut()
-            .find(|slot| slot.key_hash == hash && &slot.body == body)
-        {
-            slot.last_used = self.tick;
-            self.hits += 1;
-            return slot.prepared.clone();
-        }
-        self.misses += 1;
-        let program = match body {
-            TestBody::Asm(instructions) => Program::assemble(instructions),
-            TestBody::Words(words) => Program::assemble_raw(words),
-            // The sched_seed does not change the lowering — it selects
-            // the runtime interleaving — but it *is* part of the cache
-            // key (derived TestBody equality/hash), so two cases that
-            // differ only in seed occupy distinct slots.
-            TestBody::Mhart { body, .. } => Program::assemble(body),
-        };
-        let prepared = PreparedCase::new(program);
-        if self.slots.len() >= self.capacity {
-            let oldest = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(i, _)| i)
-                .expect("capacity > 0 implies a slot exists");
-            self.slots.swap_remove(oldest);
-        }
-        self.slots.push(Slot {
-            key_hash: hash,
-            body: body.clone(),
-            prepared: prepared.clone(),
-            last_used: self.tick,
-        });
-        prepared
-    }
-
-    /// Cached bodies currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the cache holds nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Lookups served from the cache since construction.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to assemble + predecode since construction.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hfl_riscv::{Instruction, Opcode, Reg};
-    use proptest::prelude::*;
-
-    fn asm_body(imm: i64) -> TestBody {
-        TestBody::Asm(vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, imm)])
-    }
-
-    #[test]
-    fn repeat_lookups_hit_and_share_the_image() {
-        let mut cache = PredecodeCache::new(4);
-        let body = asm_body(7);
-        let first = cache.prepare(&body);
-        let second = cache.prepare(&body);
-        assert!(Arc::ptr_eq(&first.image, &second.image));
-        assert!(Arc::ptr_eq(&first.program, &second.program));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn mutated_body_never_hits_a_stale_entry() {
-        let mut cache = PredecodeCache::new(4);
-        let original = asm_body(1);
-        let prepared = cache.prepare(&original);
-        // Mutate the body the way the fuzzer's mutator would: same shape,
-        // different operand. The cache must miss and re-lower.
-        let mutated = asm_body(2);
-        let reprepared = cache.prepare(&mutated);
-        assert!(!Arc::ptr_eq(&prepared.program, &reprepared.program));
-        assert_ne!(prepared.program.words, reprepared.program.words);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
-        // The words variant of the same instruction is a distinct key too.
-        let as_words = TestBody::Words(vec![
-            Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 2).encode()
-        ]);
-        cache.prepare(&as_words);
-        assert_eq!(cache.misses(), 3);
-    }
-
-    #[test]
-    fn interleaving_seeds_never_alias_in_the_cache() {
-        // Satellite regression: two multi-hart cases that differ only in
-        // sched_seed are *different test cases* — they run the same image
-        // under different interleavings. The cache key must separate them;
-        // a stale hit here would silently replay the wrong schedule's
-        // identity through hit/miss accounting and batch dedup.
-        let mut cache = PredecodeCache::new(4);
-        let instructions = vec![Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 3)];
-        let a = TestBody::Mhart {
-            body: instructions.clone(),
-            sched_seed: 1,
-        };
-        let b = TestBody::Mhart {
-            body: instructions,
-            sched_seed: 2,
-        };
-        cache.prepare(&a);
-        cache.prepare(&b);
-        assert_eq!(
-            (cache.hits(), cache.misses(), cache.len()),
-            (0, 2, 2),
-            "distinct seeds must occupy distinct slots, never alias"
-        );
-        // Re-looking each seed up hits its own slot.
-        cache.prepare(&a);
-        cache.prepare(&b);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        // The lowering itself is seed-independent: both slots share the
-        // same program bytes (the seed selects the runtime interleaving).
-        let pa = cache.prepare(&a);
-        let pb = cache.prepare(&b);
-        assert_eq!(pa.program.words, pb.program.words);
-        assert!(!Arc::ptr_eq(&pa.program, &pb.program));
-    }
-
-    #[test]
-    fn lru_eviction_drops_the_least_recently_used_entry() {
-        let mut cache = PredecodeCache::new(2);
-        let (a, b, c) = (asm_body(1), asm_body(2), asm_body(3));
-        cache.prepare(&a);
-        cache.prepare(&b);
-        cache.prepare(&a); // a is now more recent than b
-        cache.prepare(&c); // evicts b
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.hits(), 1);
-        cache.prepare(&a);
-        assert_eq!(cache.hits(), 2, "a survived the eviction");
-        cache.prepare(&b);
-        assert_eq!(cache.misses(), 4, "b was evicted and re-lowered");
-    }
-
-    #[test]
-    fn eviction_preserves_determinism_of_the_lowering() {
-        // A body lowered, evicted, and re-lowered yields a bit-identical
-        // program and image.
-        let mut cache = PredecodeCache::new(1);
-        let body = asm_body(5);
-        let first = cache.prepare(&body);
-        cache.prepare(&asm_body(6)); // evicts `body`
-        let relowered = cache.prepare(&body);
-        assert!(!Arc::ptr_eq(&first.image, &relowered.image));
-        assert_eq!(first.program.words, relowered.program.words);
-        assert_eq!(*first.image, *relowered.image);
-    }
-
-    #[test]
-    fn capacity_is_never_exceeded() {
-        let mut cache = PredecodeCache::new(3);
-        for imm in 0..32 {
-            cache.prepare(&asm_body(imm));
-            assert!(cache.len() <= 3);
-        }
-        assert_eq!(cache.misses(), 32);
-    }
-
-    proptest! {
-        #[test]
-        fn cache_is_transparent_for_any_word_body(seed in any::<u64>(), len in 0usize..16) {
-            // Whatever (possibly illegal) words the body holds, the cached
-            // lowering equals a fresh one.
-            let mut state = seed | 1;
-            let words: Vec<u32> = (0..len).map(|_| {
-                state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
-                (state >> 32) as u32
-            }).collect();
-            let body = TestBody::Words(words.clone());
-            let mut cache = PredecodeCache::new(2);
-            let via_cache = cache.prepare(&body);
-            let fresh = PreparedCase::new(Program::assemble_raw(&words));
-            prop_assert_eq!(&via_cache.program.words, &fresh.program.words);
-            prop_assert_eq!(&*via_cache.image, &*fresh.image);
-            let again = cache.prepare(&body);
-            prop_assert!(Arc::ptr_eq(&via_cache.image, &again.image));
-        }
+    pub fn prepare(&self, body: &TestBody) -> PreparedCase {
+        PreparedCase::lower(body)
     }
 }

@@ -22,8 +22,8 @@
 //! binaries).
 
 use crate::baselines::{CascadeFuzzer, DifuzzRtlFuzzer, Fuzzer, GoldenFuzzFuzzer, TheHuzzFuzzer};
-use crate::campaign::{RunConfig, SpecError};
-use crate::fleet::FleetMember;
+use crate::campaign::{CampaignConfig, RunConfig, SpecError};
+use crate::fleet::{FleetConfig, FleetMember};
 use crate::fuzzer::{HflConfig, HflFuzzer};
 use crate::json::{Fields, ObjectWriter};
 use crate::scenario::{ScenarioConfig, ScenarioFuzzer};
@@ -228,6 +228,18 @@ pub struct CampaignRequest {
     pub checkpoint_every: u64,
 }
 
+impl CampaignRequest {
+    /// The campaign's budget and execution knobs.
+    #[must_use]
+    pub fn config(&self) -> CampaignConfig {
+        CampaignConfig {
+            cases: self.cases,
+            sample_every: self.sample_every,
+            run: self.run,
+        }
+    }
+}
+
 /// Spec fields for a fleet run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetRequest {
@@ -242,6 +254,18 @@ pub struct FleetRequest {
     pub run: RunConfig,
     /// Snapshot every this many epochs.
     pub checkpoint_every: u64,
+}
+
+impl FleetRequest {
+    /// The fleet's budget and execution knobs.
+    #[must_use]
+    pub fn config(&self) -> FleetConfig {
+        FleetConfig {
+            epochs: self.epochs,
+            cases_per_epoch: self.cases_per_epoch,
+            run: self.run,
+        }
+    }
 }
 
 /// The one versioned description of a run, whatever transport it
@@ -275,13 +299,7 @@ impl RunRequest {
     pub fn validate(&self) -> Result<(), SpecError> {
         match self {
             RunRequest::Campaign(job) => {
-                if job.cases == 0 {
-                    return Err(SpecError::ZeroCases);
-                }
-                if job.sample_every == 0 {
-                    return Err(SpecError::ZeroSampleEvery);
-                }
-                job.run.validate()?;
+                job.config().validate()?;
                 if job.checkpoint_every == 0 {
                     return Err(SpecError::ZeroCheckpointInterval);
                 }
@@ -290,13 +308,7 @@ impl RunRequest {
                 if job.members.is_empty() {
                     return Err(SpecError::EmptyMembers);
                 }
-                if job.epochs == 0 {
-                    return Err(SpecError::ZeroEpochs);
-                }
-                if job.cases_per_epoch == 0 {
-                    return Err(SpecError::ZeroCasesPerEpoch);
-                }
-                job.run.validate()?;
+                job.config().validate()?;
                 if job.checkpoint_every == 0 {
                     return Err(SpecError::ZeroCheckpointInterval);
                 }

@@ -57,14 +57,25 @@ fn main() {
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| String::from("127.0.0.1:7700"));
     let data_dir = arg_value(&args, "--data-dir").unwrap_or_else(|| String::from("hfl-serve-data"));
     // A present but missing or unparsable value exits 2, like the
-    // harness binaries' `arg_num`, instead of starting two workers.
+    // harness binaries' `arg_num`, instead of starting two workers; so
+    // does a count above the thread bound, since each worker is a thread.
     let workers: usize = match args.iter().position(|a| a == "--workers") {
         None => 2,
         Some(at) => match args.get(at + 1) {
-            Some(value) => value.parse().unwrap_or_else(|_| {
-                eprintln!("hfl-serve: --workers: {value:?} is not a valid number");
-                std::process::exit(2)
-            }),
+            Some(value) => match value.parse() {
+                Ok(workers) if workers <= hfl::MAX_THREADS => workers,
+                Ok(_) => {
+                    eprintln!(
+                        "hfl-serve: --workers: {value} is above the bound of {}",
+                        hfl::MAX_THREADS
+                    );
+                    std::process::exit(2)
+                }
+                Err(_) => {
+                    eprintln!("hfl-serve: --workers: {value:?} is not a valid number");
+                    std::process::exit(2)
+                }
+            },
             None => {
                 eprintln!("hfl-serve: --workers: missing value");
                 std::process::exit(2)

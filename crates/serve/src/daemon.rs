@@ -41,7 +41,8 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Root directory for job artifacts and `state.jsonl`.
     pub data_dir: PathBuf,
-    /// Worker threads executing jobs (concurrent jobs).
+    /// Worker threads executing jobs (concurrent jobs); the daemon runs
+    /// `1..=`[`hfl::MAX_THREADS`] of them, clamping this.
     pub workers: usize,
     /// Events retained per job for SSE subscribers.
     pub hub_capacity: usize,
@@ -59,10 +60,11 @@ impl DaemonConfig {
         }
     }
 
-    /// Sets the worker-pool size (builder style).
+    /// Sets the worker-pool size (builder style), clamped to
+    /// `1..=`[`hfl::MAX_THREADS`].
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> DaemonConfig {
-        self.workers = workers.max(1);
+        self.workers = workers.clamp(1, hfl::MAX_THREADS);
         self
     }
 }
@@ -87,7 +89,7 @@ impl Daemon {
         Ok(Daemon {
             listener,
             table,
-            workers: config.workers.max(1),
+            workers: config.workers.clamp(1, hfl::MAX_THREADS),
         })
     }
 
@@ -416,4 +418,27 @@ pub fn parse_http_response(raw: &[u8]) -> io::Result<(u16, Vec<u8>)> {
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no status code"))?;
     Ok((status, raw[head_end + 4..].to_vec()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_counts_are_clamped_to_the_thread_bound() {
+        let config = |workers| DaemonConfig::new("127.0.0.1:0", "unused").with_workers(workers);
+        assert_eq!(config(0).workers, 1);
+        assert_eq!(config(3).workers, 3);
+        assert_eq!(config(hfl::MAX_THREADS + 1).workers, hfl::MAX_THREADS);
+        // `workers` is public, so binding clamps it again. Binding starts
+        // no job threads; only `Daemon::run` does.
+        let dir = std::env::temp_dir().join(format!("hfl-serve-clamp-{}", std::process::id()));
+        let mut unclamped = DaemonConfig::new("127.0.0.1:0", &dir);
+        for (workers, bound) in [(0, 1), (usize::MAX, hfl::MAX_THREADS)] {
+            unclamped.workers = workers;
+            let daemon = Daemon::bind(&unclamped).expect("bind");
+            assert_eq!(daemon.workers, bound);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, CheckpointPolicy};
-use hfl::fleet::{FleetConfig, FleetSpec};
+use hfl::campaign::{run_campaign, CampaignSpec, CheckpointPolicy};
+use hfl::fleet::FleetSpec;
 use hfl::fleet_dist::{
     run_fleet_dist, DistConfig, ProcessLauncher, ThreadLauncher, WorkerLauncher,
 };
@@ -567,12 +567,7 @@ fn run_job(
 
     match spec {
         JobSpec::Campaign(job) => {
-            let config = CampaignConfig {
-                cases: job.cases,
-                sample_every: job.sample_every,
-                run: job.run,
-            };
-            let mut builder = CampaignSpec::builder(job.core, config)
+            let mut builder = CampaignSpec::builder(job.core, job.config())
                 .sink(sink)
                 .checkpoint(CheckpointPolicy::new(&ckpt_dir, job.checkpoint_every))
                 .control(control.clone());
@@ -592,12 +587,7 @@ fn run_job(
             })
         }
         JobSpec::Fleet(job) => {
-            let config = FleetConfig {
-                epochs: job.epochs,
-                cases_per_epoch: job.cases_per_epoch,
-                run: job.run,
-            };
-            let mut builder = FleetSpec::builder(config)
+            let mut builder = FleetSpec::builder(job.config())
                 .sink(sink)
                 .checkpoint(CheckpointPolicy::new(&ckpt_dir, job.checkpoint_every))
                 .control(control.clone());

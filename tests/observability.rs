@@ -174,30 +174,6 @@ fn jsonl_log_replays_the_coverage_curve() {
     assert_eq!(result.metrics.counter("campaign.rounds"), 10);
 }
 
-/// The predecode cache surfaces lifetime hit/miss counters on the
-/// metrics snapshot. At one thread the worker schedule is fixed, so the
-/// split itself is deterministic — and whatever the schedule, the totals
-/// must account for exactly one cache lookup per executed case.
-#[test]
-fn predecode_cache_metrics_ride_on_the_snapshot() {
-    let run = || {
-        let mut fuzzer = DifuzzRtlFuzzer::new(5, 12);
-        let spec = CampaignSpec::builder(CoreKind::Rocket, config())
-            .threads(1)
-            .build()
-            .expect("valid spec");
-        let result = run_campaign(&mut fuzzer, &spec).expect("campaign runs");
-        (
-            result.metrics.counter("sim.predecode.hits"),
-            result.metrics.counter("sim.predecode.misses"),
-        )
-    };
-    let (hits, misses) = run();
-    assert_eq!(hits + misses, 40, "one cache lookup per executed case");
-    assert!(misses >= 1, "first sight of a body must miss");
-    assert_eq!((hits, misses), run(), "split is deterministic at 1 thread");
-}
-
 /// Guard for interpreter changes: a pinned campaign spec must replay the
 /// checked-in golden non-timing JSONL stream byte for byte. The golden
 /// file was produced by the original per-step fetch+decode interpreters,

@@ -8,7 +8,7 @@ use hfl::baselines::{random_instruction, Feedback, Fuzzer, TestBody};
 use hfl::difftest::{compare, Mismatch, MismatchKind, Signature, SignatureSet};
 use hfl::harness::{Executor, DEFAULT_MAX_STEPS};
 use hfl::poc::poc_for;
-use hfl::predecode::PredecodeCache;
+use hfl::predecode::PreparedCase;
 use hfl::spec::FuzzerKind;
 use hfl::triage::minimize;
 use hfl_dut::bugs::{bugs_for, enable, quirks_for, CATALOG};
@@ -304,10 +304,9 @@ fn checker_matches_the_full_trace_comparison() {
                     .max_steps(max_steps)
                     .build();
                 let mut dut = Dut::with_quirks(core, quirks.clone());
-                let mut cache = PredecodeCache::default();
                 for (i, body) in bodies.iter().enumerate() {
                     let got = executor.run(body).mismatches;
-                    let prepared = cache.prepare(body);
+                    let prepared = PreparedCase::lower(body);
                     let d = dut.run_predecoded(&prepared.program, &prepared.image, max_steps);
                     let mut grm = Cpu::new();
                     grm.load_program(&prepared.program);
