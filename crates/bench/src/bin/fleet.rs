@@ -105,8 +105,8 @@ fn main() {
     };
     let epochs: u64 = arg_num(&args, "--epochs", 4);
     let cases_per_epoch: u64 = arg_num(&args, "--cases-per-epoch", 24);
-    let batch: usize = arg_num(&args, "--batch", 4).max(1);
-    let threads: usize = arg_num(&args, "--threads", 2).max(1);
+    let batch: usize = arg_num(&args, "--batch", 4);
+    let threads: usize = arg_num(&args, "--threads", 2);
     let log = arg_value(&args, "--log").unwrap_or_else(|| "fleet.jsonl".to_owned());
     let checkpoint_dir = arg_value(&args, "--checkpoint-dir");
     let checkpoint_every: u64 = arg_num(&args, "--checkpoint-every", 1);

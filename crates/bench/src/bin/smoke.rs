@@ -87,8 +87,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_num(&args, "--seed", 1);
     let cases: u64 = arg_num(&args, "--cases", 60);
-    let batch: usize = arg_num(&args, "--batch", 4).max(1);
-    let threads: usize = arg_num(&args, "--threads", 2).max(1);
+    let batch: usize = arg_num(&args, "--batch", 4);
+    let threads: usize = arg_num(&args, "--threads", 2);
     let fuzzer_name = arg_value(&args, "--fuzzer").unwrap_or_else(|| "hfl".to_owned());
     let log = arg_value(&args, "--log").unwrap_or_else(|| "telemetry.jsonl".to_owned());
     let checkpoint_dir = arg_value(&args, "--checkpoint-dir");

@@ -207,6 +207,13 @@ pub trait Fuzzer {
     /// default ignores the sink — only learning fuzzers emit anything.
     fn attach_sink(&mut self, _sink: crate::obs::SinkHandle) {}
 
+    /// Gives the fuzzer a [`crate::exec::Lane`] onto its pool's first
+    /// helper, for learner work that can overlap its own: HFL trains its
+    /// critic and coverage predictor there while PPO runs on the caller.
+    /// Every runner calls this once per pool, before the first round. The
+    /// default ignores the lane — only learning fuzzers use it.
+    fn attach_lane(&mut self, _lane: crate::exec::Lane) {}
+
     /// Serialises the fuzzer's complete state (RNG position, corpus,
     /// learned parameters) so a resumed campaign continues bit-identically.
     ///
@@ -271,6 +278,10 @@ impl<F: Fuzzer + ?Sized> Fuzzer for Box<F> {
 
     fn attach_sink(&mut self, sink: crate::obs::SinkHandle) {
         (**self).attach_sink(sink);
+    }
+
+    fn attach_lane(&mut self, lane: crate::exec::Lane) {
+        (**self).attach_lane(lane);
     }
 
     fn save_state(&self, w: &mut dyn Write) -> Result<(), PersistError> {
@@ -824,6 +835,10 @@ impl<F: Fuzzer> Fuzzer for InterleaveFuzzer<F> {
 
     fn attach_sink(&mut self, sink: crate::obs::SinkHandle) {
         self.inner.attach_sink(sink);
+    }
+
+    fn attach_lane(&mut self, lane: crate::exec::Lane) {
+        self.inner.attach_lane(lane);
     }
 
     fn save_state(&self, mut w: &mut dyn Write) -> Result<(), PersistError> {

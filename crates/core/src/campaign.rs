@@ -95,10 +95,11 @@ impl RunConfig {
         }
     }
 
-    /// Sets the per-round batch size (builder style).
+    /// Sets the per-round batch size (builder style). A zero is kept, so
+    /// that [`RunConfig::validate`] refuses it.
     #[must_use]
     pub fn with_batch(mut self, batch: usize) -> RunConfig {
-        self.batch = batch.max(1);
+        self.batch = batch;
         self
     }
 
@@ -1144,6 +1145,7 @@ pub fn run_campaign(
     if let Some(plan) = spec.fault_plan() {
         pool = pool.with_shared_fault_plan(plan);
     }
+    fuzzer.attach_lane(pool.lane());
     let map_len = pool.coverage_map().len();
     let totals = {
         let map = pool.coverage_map();
@@ -1592,7 +1594,7 @@ mod tests {
         );
         check(
             CampaignConfig {
-                run: RunConfig { batch: 0, ..ok.run },
+                run: ok.run.with_batch(0),
                 ..ok
             },
             SpecError::ZeroBatch,

@@ -12,7 +12,9 @@
 //! Threads: the calling thread is worker 0. The other workers are helper
 //! threads that live as long as the pool and park on a channel between
 //! batches; a helper is spawned the first time a batch needs it, and
-//! dropping the pool joins them. Nothing spawns per batch.
+//! dropping the pool joins them. Nothing spawns per batch. Between
+//! batches the first helper also runs [`Lane`] tasks: work the caller
+//! overlaps with its own, such as HFL's model updates.
 //!
 //! Fault containment (the crash-safety half of the campaign API): each
 //! case runs inside `catch_unwind`, so a panicking worker poisons only its
@@ -29,7 +31,7 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -82,11 +84,34 @@ where
 /// of a panic that escaped the function.
 type Reply<T> = thread::Result<Vec<(usize, T)>>;
 
-/// What wakes a parked helper: the batch, and where to send its reply.
-type Order<W, T> = (Arc<dyn Job<W, T>>, Sender<Reply<T>>);
+/// A closure [`Lane::join`] sends to a helper; it replies on its own.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// What wakes a parked helper: a batch and where to send its reply, or a
+/// lane task.
+enum Order<W, T> {
+    Batch(Arc<dyn Job<W, T>>, Sender<Reply<T>>),
+    Task(Task),
+}
+
+/// A helper's order channel with the pool's worker and output types
+/// erased, so that a [`Lane`] can hold it.
+trait TaskQueue: Send + Sync {
+    /// Queues `task` behind the helper's earlier orders.
+    fn push(&self, task: Task);
+}
+
+impl<W: Send, T: Send> TaskQueue for Sender<Order<W, T>> {
+    fn push(&self, task: Task) {
+        self.send(Order::Task(task))
+            .expect("a pool helper lives as long as its order channel");
+    }
+}
 
 struct Helper<W, T> {
-    orders: Sender<Order<W, T>>,
+    /// The pool holds the only strong reference; lanes hold weak ones,
+    /// so dropping the pool still closes the channel.
+    orders: Arc<Sender<Order<W, T>>>,
     thread: JoinHandle<()>,
 }
 
@@ -151,7 +176,7 @@ where
             let job: Arc<dyn Job<W, T>> = batch.clone();
             helper
                 .orders
-                .send((job, replies.clone()))
+                .send(Order::Batch(job, replies.clone()))
                 .expect("a pool helper lives as long as its pool");
         }
         drop(replies);
@@ -191,17 +216,39 @@ where
             let thread = thread::Builder::new()
                 .name(format!("exec-pool-{}", self.helpers.len() + 1))
                 .spawn(move || {
-                    for (job, replies) in parked {
-                        let reply = catch_unwind(AssertUnwindSafe(|| job.drain(&mut worker)));
-                        drop(job);
-                        // The caller waits for this reply, so the send
-                        // only fails if the caller is gone.
-                        let _ = replies.send(reply);
+                    for order in parked {
+                        match order {
+                            Order::Batch(job, replies) => {
+                                let reply =
+                                    catch_unwind(AssertUnwindSafe(|| job.drain(&mut worker)));
+                                drop(job);
+                                // The caller waits for this reply, so the
+                                // send only fails if the caller is gone.
+                                let _ = replies.send(reply);
+                            }
+                            // A task catches its own panic and replies.
+                            Order::Task(task) => task(),
+                        }
                     }
                 })
                 .expect("failed to spawn an execution-pool helper thread");
-            self.helpers.push(Helper { orders, thread });
+            self.helpers.push(Helper {
+                orders: Arc::new(orders),
+                thread,
+            });
         }
+    }
+
+    /// A lane onto the first helper, spawned here if no batch has needed
+    /// it yet. With one thread there is no helper, and the lane runs
+    /// everything on the caller.
+    fn lane(&mut self) -> Lane {
+        if self.threads < 2 {
+            return Lane::default();
+        }
+        self.spawn_helpers(1);
+        let queue = Arc::downgrade(&self.helpers[0].orders) as Weak<dyn TaskQueue>;
+        Lane { queue: Some(queue) }
     }
 }
 
@@ -228,6 +275,85 @@ impl<W, T> fmt::Debug for Workers<W, T> {
             .field("threads", &self.threads)
             .field("helpers", &self.helpers.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// Runs a closure on a pool's first helper while the caller runs another
+/// ([`ExecPool::lane`]). The helper takes the closure between batches,
+/// over the channel it parks on, so a lane starts no thread. The lane
+/// holds only a weak reference to that channel: once the pool drops, or
+/// for a one-thread pool, which has no helper, both closures run on the
+/// caller. So does a closure the helper has not started by the time the
+/// caller's own is done, so a helper that is busy, or not yet awake,
+/// costs a join no more than running both closures in turn.
+///
+/// # Examples
+///
+/// ```
+/// use hfl::exec::ExecPool;
+/// use hfl::harness::Executor;
+/// use hfl_dut::CoreKind;
+///
+/// let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
+/// let lane = pool.lane();
+/// let data = vec![1u64, 2, 3];
+/// let (sum, len) = lane.join(move || data.iter().sum::<u64>(), || "abc".len());
+/// assert_eq!((sum, len), (6, 3));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Lane {
+    queue: Option<Weak<dyn TaskQueue>>,
+}
+
+/// A join holds its slot's lock only to take the closure out, which
+/// cannot panic, so the lock is never poisoned.
+const SLOT_LOCK: &str = "a lane slot's lock is never held across a panic";
+
+impl Lane {
+    /// Offers `a` to the pool's first helper, runs `b` on the calling
+    /// thread, and returns both results once both have finished. If the
+    /// helper has not taken `a` by the time `b` returns, the caller runs
+    /// `a` itself, as it does when the pool has no helper or has dropped.
+    /// Either way `a` runs exactly once and has finished when the join
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// If either closure panics, the panic reaches the caller with its
+    /// original payload after both have finished; `b`'s first if both
+    /// panic.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send + 'static,
+        RA: Send + 'static,
+        B: FnOnce() -> RB,
+    {
+        // `a` waits here until the helper or, once `b` is done, the
+        // caller takes it; whoever takes it runs it.
+        let slot = Arc::new(Mutex::new(Some(a)));
+        let inbox = self.queue.as_ref().and_then(Weak::upgrade).map(|queue| {
+            let (reply, inbox) = mpsc::sync_channel(1);
+            let offered = Arc::clone(&slot);
+            queue.push(Box::new(move || {
+                let taken = offered.lock().expect(SLOT_LOCK).take();
+                if let Some(a) = taken {
+                    // The caller waits for this reply, so the send
+                    // cannot fail.
+                    let _ = reply.send(catch_unwind(AssertUnwindSafe(a)));
+                }
+            }));
+            inbox
+        });
+        let b = catch_unwind(AssertUnwindSafe(b));
+        let taken = slot.lock().expect(SLOT_LOCK).take();
+        let a = match taken {
+            Some(a) => catch_unwind(AssertUnwindSafe(a)),
+            None => inbox
+                .and_then(|inbox| inbox.recv().ok())
+                .expect("only a helper takes `a` first, and it replies"),
+        };
+        let b = b.unwrap_or_else(|payload| resume_unwind(payload));
+        (a.unwrap_or_else(|payload| resume_unwind(payload)), b)
     }
 }
 
@@ -705,6 +831,13 @@ impl ExecPool {
         self.workers.threads
     }
 
+    /// A [`Lane`] onto the pool's first helper, which this spawns if no
+    /// batch has needed it yet. A one-thread pool spawns nothing and
+    /// returns a lane that runs both sides of a join on the caller.
+    pub fn lane(&mut self) -> Lane {
+        self.workers.lane()
+    }
+
     /// The core under test.
     #[must_use]
     pub fn core(&self) -> hfl_dut::CoreKind {
@@ -1003,6 +1136,158 @@ mod tests {
             let outputs = workers.run(&items, |(), _, &item| item + 100);
             assert_eq!(outputs, items.iter().map(|i| i + 100).collect::<Vec<_>>());
         }
+    }
+
+    /// The threads a join runs its two sides on.
+    fn sides(lane: &Lane) -> (std::thread::ThreadId, std::thread::ThreadId) {
+        lane.join(
+            || std::thread::current().id(),
+            || std::thread::current().id(),
+        )
+    }
+
+    #[test]
+    fn a_lane_runs_its_task_on_the_first_helper_between_batches() {
+        let caller = std::thread::current().id();
+        let mut workers = bare(3);
+        let lane = workers.lane();
+        assert_eq!(
+            workers.helpers.len(),
+            1,
+            "a lane needs only the first helper"
+        );
+        for _ in 0..3 {
+            // `b` waits until `a` has started, so the caller cannot take
+            // `a` back.
+            let started = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&started);
+            let (helper, here) = lane.join(
+                move || {
+                    flag.store(true, Ordering::SeqCst);
+                    let me = std::thread::current();
+                    (me.id(), me.name().map(str::to_owned))
+                },
+                || {
+                    wait_for(&started);
+                    std::thread::current().id()
+                },
+            );
+            assert_ne!(helper.0, caller, "`a` runs on a helper");
+            assert_eq!(helper.1.as_deref(), Some("exec-pool-1"));
+            assert_eq!(here, caller, "`b` runs on the caller");
+            // The helper still serves batches between lane tasks.
+            let ids = workers.run(&[(); 6], |(), _, ()| std::thread::current().id());
+            assert_eq!(ids.len(), 6);
+        }
+    }
+
+    #[test]
+    fn the_caller_runs_a_task_the_busy_helper_has_not_started() {
+        let caller = std::thread::current().id();
+        let mut workers = bare(2);
+        let lane = workers.lane();
+        // Another thread's join keeps the helper busy until released.
+        let (busy, release) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let other = {
+            let (lane, busy, release) = (lane.clone(), Arc::clone(&busy), Arc::clone(&release));
+            let started = Arc::clone(&busy);
+            std::thread::spawn(move || {
+                lane.join(
+                    move || {
+                        busy.store(true, Ordering::SeqCst);
+                        wait_for(&release);
+                    },
+                    || wait_for(&started),
+                )
+            })
+        };
+        wait_for(&busy);
+        assert_eq!(sides(&lane), (caller, caller), "`a` was taken back");
+        release.store(true, Ordering::SeqCst);
+        other.join().expect("the other join returns");
+        // The stale order the helper finds later runs nothing.
+        let started = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&started);
+        let (on_helper, ()) = lane.join(
+            move || {
+                flag.store(true, Ordering::SeqCst);
+                std::thread::current().id()
+            },
+            || wait_for(&started),
+        );
+        assert_ne!(on_helper, caller);
+    }
+
+    #[test]
+    fn a_panic_on_either_side_waits_for_the_other() {
+        // Two threads send `a` to the helper; one runs it inline.
+        for (threads, helper_panics) in [(2, true), (2, false), (1, true), (1, false)] {
+            let mut workers = bare(threads);
+            let lane = workers.lane();
+            let finished = Arc::new(AtomicBool::new(false));
+            let done = Arc::clone(&finished);
+            let slow = move || {
+                std::thread::sleep(Duration::from_millis(20));
+                done.store(true, Ordering::SeqCst);
+            };
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                if helper_panics {
+                    lane.join(|| panic!("lane task exploded"), slow);
+                } else {
+                    lane.join(slow, || panic!("caller side exploded"));
+                }
+            }))
+            .expect_err("the panic reaches the caller");
+            let want = if helper_panics {
+                "lane task exploded"
+            } else {
+                "caller side exploded"
+            };
+            assert_eq!(panic_message(payload.as_ref()), want);
+            assert!(
+                finished.load(Ordering::SeqCst),
+                "the other side finished first"
+            );
+            assert_eq!(lane.join(|| 1, || 2), (1, 2), "the lane still works");
+        }
+    }
+
+    #[test]
+    fn a_one_thread_lane_runs_inline_and_spawns_nothing() {
+        let caller = std::thread::current().id();
+        let mut workers = bare(1);
+        let lane = workers.lane();
+        assert_eq!(sides(&lane), (caller, caller));
+        assert!(workers.helpers.is_empty(), "a 1-thread pool spawns nothing");
+    }
+
+    #[test]
+    fn a_lane_that_outlives_its_pool_runs_inline() {
+        let caller = std::thread::current().id();
+        let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 2);
+        let lane = pool.lane();
+        drop(pool);
+        assert_eq!(sides(&lane), (caller, caller));
+    }
+
+    #[test]
+    fn dropping_the_workers_joins_the_helpers_while_a_lane_lives() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let prototype = SlowDrop {
+            dropped: Arc::clone(&dropped),
+            owner: std::thread::current().id(),
+        };
+        let mut workers: Workers<SlowDrop, usize> = Workers::new(prototype, 2);
+        let lane = workers.lane();
+        assert_eq!(lane.join(|| 3, || 4), (3, 4));
+        drop(workers);
+        // Prototype, the caller's state and the helper's, dropped on the
+        // helper's thread as it exits: the lane kept nothing alive.
+        assert_eq!(dropped.load(Ordering::SeqCst), 3);
+        drop(lane);
     }
 
     /// Runs `batch` through the pool, none of whose cases may abort.

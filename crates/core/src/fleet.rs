@@ -1108,10 +1108,12 @@ pub fn run_fleet(members: &mut [FleetMember], spec: &FleetSpec) -> Result<FleetR
     let idents: Vec<MemberIdent> = members.iter().map(MemberIdent::of).collect();
     let max_steps = spec.config().run.max_steps;
     let pools = members
-        .iter()
+        .iter_mut()
         .map(|member| {
             let executor = Executor::builder(member.core).max_steps(max_steps).build();
-            ExecPool::new(executor, spec.threads())
+            let mut pool = ExecPool::new(executor, spec.threads());
+            member.fuzzer.attach_lane(pool.lane());
+            pool
         })
         .collect();
     let mut slots = InProcess {
@@ -1216,7 +1218,7 @@ mod tests {
         );
         check(
             FleetConfig {
-                run: RunConfig { batch: 0, ..ok.run },
+                run: ok.run.with_batch(0),
                 ..ok
             },
             SpecError::ZeroBatch,

@@ -315,10 +315,10 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
             }
         };
 
-    let threads = usize::try_from(threads).unwrap_or(usize::MAX).max(1);
+    let threads = usize::try_from(threads).unwrap_or(usize::MAX);
     let run = RunConfig::quick()
         .with_max_steps(max_steps)
-        .with_batch((batch as usize).max(1))
+        .with_batch(usize::try_from(batch).unwrap_or(usize::MAX))
         .with_threads(threads);
     // The coordinator's spec was validated, but the frame may come from
     // anywhere: check it before the pool exists.
@@ -328,6 +328,7 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
     let mut pool = ExecPool::new(executor, threads);
     let map_len = pool.coverage_map().len();
     let mut fuzzer = kind.build(seed);
+    fuzzer.attach_lane(pool.lane());
     let mut metrics = Metrics::new();
 
     let stop = Arc::new(AtomicBool::new(false));

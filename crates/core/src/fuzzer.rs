@@ -3,6 +3,7 @@
 //! reset module keeping exploration alive.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use hfl_nn::ops::sigmoid;
 use hfl_nn::persist::{
@@ -15,7 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::baselines::{Feedback, Fuzzer, TestBody};
-use crate::generator::{EpisodeStep, GenSession, GeneratorConfig, InstructionGenerator};
+use crate::exec::Lane;
+use crate::generator::{
+    EpisodeStep, GenSession, GeneratorConfig, InstructionGenerator, UpdateStats,
+};
 use crate::obs::{Event, SinkHandle};
 use crate::persist;
 use crate::predictor::{
@@ -141,6 +145,70 @@ struct PendingStep {
     undo_body_len: usize,
 }
 
+/// A case queued for the coverage predictor's next training step
+/// (§IV-C): the window of the executed body it learns from and the
+/// coverage bits that body produced.
+#[derive(Debug)]
+struct CoverageCase {
+    sequence: Vec<Tokens>,
+    bits: Arc<Vec<u8>>,
+    /// `stats.cases` when the feedback arrived, which the case's
+    /// [`Event::PredictorEval`] reports.
+    case: u64,
+}
+
+impl CoverageCase {
+    /// One BCE step of `predictor` on this case. With `observe`, it also
+    /// returns the [`Event::PredictorEval`] scoring the predictor's
+    /// pre-update logits against the bits.
+    fn train(
+        &self,
+        predictor: &mut CoveragePredictor,
+        adam: &mut Adam,
+        observe: bool,
+    ) -> Option<Event> {
+        let labels: Vec<f32> = self.bits.iter().map(|&b| f32::from(b)).collect();
+        let mut eval = None;
+        predictor.train_case_observed(&self.sequence, &labels, adam, |logits| {
+            if observe {
+                eval = Some(predictor_eval(self.case, logits, &self.bits));
+            }
+        });
+        eval
+    }
+}
+
+/// The half of a model update that the lane offers its helper: the
+/// critic's TD pass over the PPO window (Eq. 3) and, when a case is
+/// queued, the coverage predictor's step on it. The models travel with
+/// their Adam states and come back in this struct.
+struct HelperUpdate {
+    critic: ValuePredictor,
+    critic_adam: Adam,
+    td_inputs: Vec<Tokens>,
+    td_targets: Vec<f32>,
+    coverage: Option<(CoveragePredictor, Adam, CoverageCase)>,
+    observe: bool,
+}
+
+impl HelperUpdate {
+    /// Trains both models, returning the mean TD error and the queued
+    /// case's evaluation.
+    fn run(&mut self) -> (f32, Option<Event>) {
+        let eval = self
+            .coverage
+            .as_mut()
+            .and_then(|(predictor, adam, case)| case.train(predictor, adam, self.observe));
+        let td_error =
+            self.critic
+                .train_episode(&self.td_inputs, &self.td_targets, &mut self.critic_adam);
+        (td_error, eval)
+    }
+}
+
+/// Why [`HflFuzzer`]'s critic is always present outside a model update.
+const CRITIC_HOME: &str = "the critic is back from the lane between model updates";
+
 /// Counters the loop exposes for monitoring and the benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HflStats {
@@ -184,7 +252,9 @@ pub struct HflFuzzer {
     cfg: HflConfig,
     rng: StdRng,
     generator: InstructionGenerator,
-    predictor: ValuePredictor,
+    /// The critic; `None` only while a model update has handed it to the
+    /// lane.
+    predictor: Option<ValuePredictor>,
     gen_adam: Adam,
     pred_adam: Adam,
     normalizer: RewardNormalizer,
@@ -203,6 +273,9 @@ pub struct HflFuzzer {
     consecutive_rollbacks: u32,
     stats: HflStats,
     sink: SinkHandle,
+    /// Where the critic and the coverage predictor train while PPO runs
+    /// on the caller.
+    lane: Lane,
     /// Rewards of the current PPO window, parallel to `episode` (telemetry
     /// only: feeds `Event::PpoUpdate::reward_mean`).
     window_rewards: Vec<f32>,
@@ -224,7 +297,7 @@ impl HflFuzzer {
             cfg,
             rng,
             generator,
-            predictor,
+            predictor: Some(predictor),
             session,
             value_session,
             coverage_predictor: None,
@@ -240,8 +313,20 @@ impl HflFuzzer {
             consecutive_rollbacks: 0,
             stats: HflStats::default(),
             sink: SinkHandle::null(),
+            lane: Lane::default(),
             window_rewards: Vec::new(),
         }
+    }
+
+    fn critic(&self) -> &ValuePredictor {
+        self.predictor.as_ref().expect(CRITIC_HOME)
+    }
+
+    /// Feeds `token` to the critic's streaming session and returns the
+    /// updated `V(S)`.
+    fn critic_step(&mut self, token: &Tokens) -> f32 {
+        let critic = self.predictor.as_ref().expect(CRITIC_HOME);
+        critic.step(&mut self.value_session, token)
     }
 
     /// Loop statistics.
@@ -276,7 +361,7 @@ impl HflFuzzer {
         self.cfg.save(w)?;
         persist::write_rng(w, &self.rng)?;
         self.generator.save(w)?;
-        self.predictor.save(w)?;
+        self.critic().save(w)?;
         self.gen_adam.save(w)?;
         self.pred_adam.save(w)?;
         let (count, mean, m2) = self.normalizer.state();
@@ -317,13 +402,13 @@ impl HflFuzzer {
     }
 
     /// Restores state written by [`HflFuzzer::write_state`]. The attached
-    /// telemetry sink is kept; everything else is replaced.
+    /// telemetry sink and lane are kept; everything else is replaced.
     fn read_state<R: std::io::Read>(&mut self, r: &mut R) -> Result<(), PersistError> {
         use hfl_nn::persist::corrupt;
         self.cfg = HflConfig::load(r)?;
         self.rng = persist::read_rng(r)?;
         self.generator = InstructionGenerator::load(r)?;
-        self.predictor = ValuePredictor::load(r)?;
+        self.predictor = Some(ValuePredictor::load(r)?);
         self.gen_adam = Adam::load(r)?;
         self.pred_adam = Adam::load(r)?;
         let count = read_u64(r)?;
@@ -481,11 +566,13 @@ impl HflFuzzer {
             .sum()
     }
 
-    /// Online training of the coverage predictor on the executed case's
-    /// per-point labels (lazy-initialised on the first labelled feedback).
-    /// `case_len` is the executed case's body length — during a batched
-    /// round `self.body` already carries later speculative extensions.
-    fn train_coverage_predictor(&mut self, bits: &[u8], case_len: usize) {
+    /// Queues the executed case for the coverage predictor's next
+    /// training step (creating the predictor on the first labelled
+    /// feedback) and marks its bits in the cumulative map that screening
+    /// reads. `case_len` is the executed case's body length — during a
+    /// batched round `self.body` already carries later speculative
+    /// extensions.
+    fn queue_coverage_case(&mut self, bits: &Arc<Vec<u8>>, case_len: usize) -> CoverageCase {
         if self.coverage_predictor.is_none() {
             self.coverage_predictor = Some(CoveragePredictor::new(
                 self.cfg.predictor,
@@ -500,34 +587,84 @@ impl HflFuzzer {
             );
             self.cumulative_bits = vec![0.0; bits.len()];
         }
-        for (cum, &b) in self.cumulative_bits.iter_mut().zip(bits) {
+        for (cum, &b) in self.cumulative_bits.iter_mut().zip(bits.iter()) {
             if b != 0 {
                 *cum = 1.0;
             }
         }
-        let labels: Vec<f32> = bits.iter().map(|&b| f32::from(b)).collect();
         // Train on the recent suffix: the growing test sequence would make
         // whole-body training quadratic in campaign length.
         let window = self.cfg.test_len.max(8);
         let case = &self.body[..case_len.min(self.body.len())];
         let start = case.len().saturating_sub(window);
-        let sequence = Tokens::sequence_with_bos(&case[start..]);
-        let (sink, case) = (&self.sink, self.stats.cases);
-        if let Some(cp) = &mut self.coverage_predictor {
-            // Score the predictor against the realised bits on the logits
-            // of its own pre-update forward pass. The scoring is sink-gated
-            // and only reads, so telemetry never perturbs the loop's state
-            // or RNG.
-            cp.train_case_observed(&sequence, &labels, &mut self.cov_adam, |logits| {
-                if sink.enabled() {
-                    sink.emit(&predictor_eval(case, logits, bits));
-                }
-            });
+        CoverageCase {
+            sequence: Tokens::sequence_with_bos(&case[start..]),
+            bits: Arc::clone(bits),
+            case: self.stats.cases,
         }
     }
 
+    /// Trains the coverage predictor on `coverage` on this thread, for
+    /// the paths that update no other model, and emits its evaluation.
+    fn train_coverage_here(&mut self, coverage: Option<CoverageCase>) {
+        if let (Some(case), Some(predictor)) = (coverage, &mut self.coverage_predictor) {
+            if let Some(eval) = case.train(predictor, &mut self.cov_adam, self.sink.enabled()) {
+                self.sink.emit(&eval);
+            }
+        }
+    }
+
+    /// One model update over the PPO window: PPO (Eq. 4) fine-tunes the
+    /// generator on this thread while the lane's helper trains the critic
+    /// (Eq. 3) and, on a queued case, the coverage predictor; this thread
+    /// trains them itself if the helper has not woken by then. The three
+    /// models share no state and draw no randomness, so the result is
+    /// the same wherever each runs. The case's [`Event::PredictorEval`]
+    /// is emitted after both sides finish, scored on the predictor's
+    /// pre-update logits; telemetry only reads, so it never perturbs the
+    /// loop's state or RNG.
+    fn update_models(&mut self, coverage: Option<CoverageCase>) -> UpdateStats {
+        let coverage = coverage.map(|case| {
+            let predictor = self.coverage_predictor.take();
+            let predictor = predictor.expect("queueing a case creates the predictor");
+            (predictor, self.cov_adam.clone(), case)
+        });
+        let mut helper = HelperUpdate {
+            critic: self.predictor.take().expect(CRITIC_HOME),
+            critic_adam: self.pred_adam.clone(),
+            td_inputs: std::mem::take(&mut self.td_inputs),
+            td_targets: std::mem::take(&mut self.td_targets),
+            coverage,
+            observe: self.sink.enabled(),
+        };
+        let ((helper, (td_error, eval)), stats) = self.lane.join(
+            move || {
+                let out = helper.run();
+                (helper, out)
+            },
+            || {
+                self.generator
+                    .ppo_update(&self.episode, self.cfg.ppo.epsilon, &mut self.gen_adam)
+            },
+        );
+        self.predictor = Some(helper.critic);
+        self.pred_adam = helper.critic_adam;
+        self.td_inputs = helper.td_inputs;
+        self.td_targets = helper.td_targets;
+        if let Some((predictor, adam, _)) = helper.coverage {
+            self.coverage_predictor = Some(predictor);
+            self.cov_adam = adam;
+        }
+        if let Some(eval) = eval {
+            self.sink.emit(&eval);
+        }
+        self.stats.last_mean_ratio = stats.mean_ratio;
+        self.stats.last_td_error = td_error;
+        stats
+    }
+
     /// Emits one [`Event::PpoUpdate`] (sink-gated; pure observation).
-    fn emit_ppo_update(&self, update: crate::generator::UpdateStats) {
+    fn emit_ppo_update(&self, update: UpdateStats) {
         if !self.sink.enabled() {
             return;
         }
@@ -546,17 +683,11 @@ impl HflFuzzer {
         });
     }
 
-    fn finish_episode(&mut self) {
-        if !self.episode.is_empty() {
-            let stats =
-                self.generator
-                    .ppo_update(&self.episode, self.cfg.ppo.epsilon, &mut self.gen_adam);
-            self.stats.last_mean_ratio = stats.mean_ratio;
-            self.stats.last_td_error = self.predictor.train_episode(
-                &self.td_inputs,
-                &self.td_targets,
-                &mut self.pred_adam,
-            );
+    fn finish_episode(&mut self, coverage: Option<CoverageCase>) {
+        if self.episode.is_empty() {
+            self.train_coverage_here(coverage);
+        } else {
+            let stats = self.update_models(coverage);
             self.stats.episodes += 1;
             self.emit_ppo_update(stats);
         }
@@ -566,7 +697,7 @@ impl HflFuzzer {
         self.window_rewards.clear();
         self.body.clear();
         self.session = self.generator.start_session();
-        self.value_session = self.predictor.start_session();
+        self.value_session = self.critic().start_session();
         self.coverage_session = self
             .coverage_predictor
             .as_ref()
@@ -578,7 +709,8 @@ impl HflFuzzer {
 
     fn activate_reset_module(&mut self) {
         self.generator.reset(&mut self.rng);
-        self.predictor.reset(&mut self.rng);
+        let critic = self.predictor.as_mut().expect(CRITIC_HOME);
+        critic.reset(&mut self.rng);
         self.gen_adam = Adam::new(self.cfg.generator.lr);
         self.pred_adam = Adam::new(self.cfg.predictor.lr);
         self.normalizer.reset();
@@ -596,7 +728,7 @@ impl HflFuzzer {
         self.window_rewards.clear();
         self.body.clear();
         self.session = self.generator.start_session();
-        self.value_session = self.predictor.start_session();
+        self.value_session = self.critic().start_session();
         self.coverage_predictor = None;
         self.coverage_session = None;
         self.cov_adam = Adam::new(self.cfg.predictor.lr);
@@ -614,7 +746,7 @@ impl Fuzzer for HflFuzzer {
         let v_t = if self.cfg.use_value_baseline {
             if self.body.is_empty() {
                 // Prime the critic with the BOS token at episode start.
-                self.predictor.step(&mut self.value_session, &Tokens::bos())
+                self.critic_step(&Tokens::bos())
             } else {
                 self.value_session.value()
             }
@@ -627,10 +759,7 @@ impl Fuzzer for HflFuzzer {
         let undo_coverage = self.coverage_session.clone();
         let (corrected, action) = self.generate_screened();
         let v_next = if self.cfg.use_value_baseline {
-            self.predictor.step(
-                &mut self.value_session,
-                &Tokens::from_instruction(&corrected.instruction),
-            )
+            self.critic_step(&Tokens::from_instruction(&corrected.instruction))
         } else {
             0.0
         };
@@ -725,15 +854,16 @@ impl Fuzzer for HflFuzzer {
                 // sequence (policy intact) instead of stalling until the
                 // reset module fires.
                 self.consecutive_rollbacks = 0;
-                self.finish_episode();
+                self.finish_episode(None);
             }
             return;
         }
         self.consecutive_rollbacks = 0;
         let case_len = pending.undo_body_len + 1;
-        if let Some(bits) = &feedback.case_bits {
-            self.train_coverage_predictor(bits, case_len);
-        }
+        let coverage = feedback
+            .case_bits
+            .as_ref()
+            .map(|bits| self.queue_coverage_case(bits, case_len));
         // Eq. (1): reward assignment. The r_bonus is granted when the test
         // case "achieves the highest hardware coverage observed so far" —
         // read cumulatively: a case that grows cumulative coverage sets a
@@ -773,6 +903,9 @@ impl Fuzzer for HflFuzzer {
             self.stagnation += 1;
         }
         if self.cfg.use_reset && self.stagnation >= self.cfg.reset_patience {
+            // The reset discards the coverage predictor, but the case
+            // still trains it first and is scored, as in every other path.
+            self.train_coverage_here(coverage);
             self.activate_reset_module();
             return;
         }
@@ -789,29 +922,25 @@ impl Fuzzer for HflFuzzer {
             // test sequence with the learned policy intact. (`case_len`,
             // not `self.body.len()`: a batched round may already have
             // chained speculative extensions past this case.)
-            self.finish_episode();
+            self.finish_episode(coverage);
         } else {
             // Real-time fine-tuning (§IV-B: the framework "fine-tunes the
             // instruction generator in real time"): every iteration updates
-            // both models over the recent window. Re-visited steps keep
+            // the models over the recent window. Re-visited steps keep
             // their sampling-time log-probabilities, so the PPO
             // ratio/clipping provides the trust region exactly as Eq. (4)
             // intends.
-            let stats =
-                self.generator
-                    .ppo_update(&self.episode, self.cfg.ppo.epsilon, &mut self.gen_adam);
-            self.stats.last_mean_ratio = stats.mean_ratio;
-            self.stats.last_td_error = self.predictor.train_episode(
-                &self.td_inputs,
-                &self.td_targets,
-                &mut self.pred_adam,
-            );
+            let stats = self.update_models(coverage);
             self.emit_ppo_update(stats);
         }
     }
 
     fn attach_sink(&mut self, sink: SinkHandle) {
         self.sink = sink;
+    }
+
+    fn attach_lane(&mut self, lane: Lane) {
+        self.lane = lane;
     }
 
     fn save_state(&self, mut w: &mut dyn std::io::Write) -> Result<(), PersistError> {

@@ -472,6 +472,18 @@ mod tests {
                 "threads must be at most 64",
             ),
             (
+                r#"{"type":"job_spec","kind":"campaign","fuzzer":"difuzz","cases":5,"batch":0}"#,
+                "batch size must be nonzero",
+            ),
+            (
+                r#"{"type":"job_spec","kind":"campaign","fuzzer":"difuzz","cases":5,"threads":0}"#,
+                "at least one worker thread",
+            ),
+            (
+                r#"{"type":"job_spec","kind":"fleet","members":"difuzz:1","epochs":2,"cases_per_epoch":4,"batch":0}"#,
+                "batch size must be nonzero",
+            ),
+            (
                 r#"{"type":"job_spec","kind":"campaign","fuzzer":"difuzz","cases":5,"core":"z80"}"#,
                 "unknown core",
             ),

@@ -58,15 +58,16 @@ fn main() {
     let data_dir = arg_value(&args, "--data-dir").unwrap_or_else(|| String::from("hfl-serve-data"));
     // A present but missing or unparsable value exits 2, like the
     // harness binaries' `arg_num`, instead of starting two workers; so
-    // does a count above the thread bound, since each worker is a thread.
+    // does a count of zero, which would run no job, or one above the
+    // thread bound, since each worker is a thread.
     let workers: usize = match args.iter().position(|a| a == "--workers") {
         None => 2,
         Some(at) => match args.get(at + 1) {
             Some(value) => match value.parse() {
-                Ok(workers) if workers <= hfl::MAX_THREADS => workers,
+                Ok(workers) if (1..=hfl::MAX_THREADS).contains(&workers) => workers,
                 Ok(_) => {
                     eprintln!(
-                        "hfl-serve: --workers: {value} is above the bound of {}",
+                        "hfl-serve: --workers: {value} is outside the bounds 1..={}",
                         hfl::MAX_THREADS
                     );
                     std::process::exit(2)

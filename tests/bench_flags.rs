@@ -1,6 +1,7 @@
 //! The harness binaries refuse a numeric flag whose value is missing or
 //! does not parse: they exit with status 2 and name the flag, instead of
-//! running the default-sized experiment.
+//! running the default-sized experiment. A zero batch or thread count is
+//! refused as an invalid run, not run as 1.
 
 use std::process::{Command, Output};
 
@@ -60,7 +61,19 @@ fn a_rejected_run_leaves_an_earlier_log_untouched() {
             "smoke-cases",
             &["--fuzzer", "difuzz", "--cases", "0"][..],
         ),
+        (
+            smoke,
+            "smoke-batch",
+            &["--fuzzer", "difuzz", "--cases", "8", "--batch", "0"][..],
+        ),
+        (
+            smoke,
+            "smoke-threads",
+            &["--fuzzer", "difuzz", "--cases", "8", "--threads", "0"][..],
+        ),
         (fleet, "fleet-epochs", &["--epochs", "0"][..]),
+        (fleet, "fleet-batch", &["--batch", "0"][..]),
+        (fleet, "fleet-threads", &["--threads", "0"][..]),
     ] {
         assert_eq!(
             rejected_run_keeps_log(bin, tag, args),

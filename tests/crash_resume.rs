@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use hfl::baselines::{DifuzzRtlFuzzer, Feedback, Fuzzer, TestBody};
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignResult, CampaignSpec, CheckpointPolicy};
-use hfl::exec::{FaultKind, FaultPlan, FaultPolicy};
+use hfl::exec::{FaultKind, FaultPlan, FaultPolicy, Lane};
 use hfl::fuzzer::{HflConfig, HflFuzzer};
 use hfl::obs::{Event, RingSink, SinkHandle};
 use hfl::StopHandle;
@@ -69,6 +69,9 @@ impl<F: Fuzzer> Fuzzer for StopAfterRounds<F> {
     }
     fn attach_sink(&mut self, sink: SinkHandle) {
         self.inner.attach_sink(sink);
+    }
+    fn attach_lane(&mut self, lane: Lane) {
+        self.inner.attach_lane(lane);
     }
     fn save_state(&self, w: &mut dyn Write) -> Result<(), PersistError> {
         self.inner.save_state(w)

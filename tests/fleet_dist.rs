@@ -409,10 +409,9 @@ fn in_process_fleet_reads_a_distributed_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_worker_rejects_an_assign_above_the_thread_cap() {
-    // A frame from anywhere may ask for any pool size; the worker must
-    // refuse it with a typed error before it builds a pool.
+/// Sends a worker an `Assign` with `batch` and `threads` and returns the
+/// message of the protocol error it must refuse it with.
+fn assign_rejection(batch: u64, threads: u64) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
     let addr = listener.local_addr().expect("local address").to_string();
     let worker = std::thread::spawn(move || run_worker(&addr, 3, None));
@@ -426,8 +425,8 @@ fn a_worker_rejects_an_assign_above_the_thread_cap() {
         fuzzer: FuzzerKind::Difuzz,
         seed: 1,
         max_steps: 3_000,
-        batch: 4,
-        threads: 1_000_000,
+        batch,
+        threads,
         heartbeat_millis: 1_000,
     })
     .write_to(&mut stream)
@@ -436,10 +435,30 @@ fn a_worker_rejects_an_assign_above_the_thread_cap() {
     // the connection ends it instead of hanging the test.
     let _ = stream.shutdown(std::net::Shutdown::Both);
     match worker.join().expect("the worker returns") {
-        Err(WireError::Protocol(message)) => assert!(
-            message.contains(&format!("threads must be at most {MAX_THREADS}")),
-            "{message}"
-        ),
-        other => panic!("expected a protocol error naming threads, got {other:?}"),
+        Err(WireError::Protocol(message)) => message,
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_worker_rejects_an_assign_above_the_thread_cap() {
+    // A frame from anywhere may ask for any pool size; the worker must
+    // refuse it with a typed error before it builds a pool.
+    let message = assign_rejection(4, 1_000_000);
+    assert!(
+        message.contains(&format!("threads must be at most {MAX_THREADS}")),
+        "{message}"
+    );
+}
+
+#[test]
+fn a_worker_rejects_an_assign_with_a_zero_batch_or_thread_count() {
+    // A zero is refused, not run as 1.
+    for (batch, threads, needle) in [
+        (0, 1, "batch size must be nonzero"),
+        (4, 0, "at least one worker thread"),
+    ] {
+        let message = assign_rejection(batch, threads);
+        assert!(message.contains(needle), "{message}");
     }
 }

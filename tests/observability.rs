@@ -195,16 +195,22 @@ fn golden_event_stream_replays_byte_for_byte() {
 /// the `PpoUpdate` and `PredictorEval` floats of every update, must replay
 /// the checked-in golden file byte for byte. An NN kernel change that
 /// moves a single weight bit (and with it a sampled instruction, a loss or
-/// a ratio) fails here.
+/// a ratio) fails here. The stream replays at two pool threads, where the
+/// critic and the coverage predictor train on the pool's helper while PPO
+/// runs on the campaign thread, and at one, where all three run on the
+/// campaign thread.
 ///
 /// Regenerate deliberately with `HFL_UPDATE_GOLDEN=1 cargo test -p hfl
 /// --test observability golden_hfl_event_stream`.
 #[test]
 fn golden_hfl_event_stream_replays_byte_for_byte() {
-    let mut fuzzer = FuzzerKind::Hfl.build(7);
-    let spec = CampaignSpec::builder(CoreKind::Rocket, CampaignConfig::quick(160).with_batch(8))
-        .threads(2);
-    assert_golden_stream(fuzzer.as_mut(), spec, "hfl_events.jsonl");
+    for threads in [2, 1] {
+        let mut fuzzer = FuzzerKind::Hfl.build(7);
+        let spec =
+            CampaignSpec::builder(CoreKind::Rocket, CampaignConfig::quick(160).with_batch(8))
+                .threads(threads);
+        assert_golden_stream(fuzzer.as_mut(), spec, "hfl_events.jsonl");
+    }
 }
 
 /// Guard for simulator changes on long self-modifying bodies: Cascade's

@@ -408,6 +408,21 @@ fn an_unparsable_worker_count_exits_2_naming_the_flag() {
 }
 
 #[test]
+fn a_zero_worker_count_exits_2_before_binding() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hfl-serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "0"])
+        .output()
+        .expect("hfl-serve starts");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--workers: 0") && stderr.contains("1..="),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "the daemon never bound: {out:?}");
+}
+
+#[test]
 fn a_worker_count_above_the_thread_bound_exits_2_before_binding() {
     let too_many = (hfl::MAX_THREADS + 1).to_string();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_hfl-serve"))
