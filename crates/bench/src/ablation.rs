@@ -30,6 +30,12 @@ impl AblationConfig {
             seeds: vec![21, 22, 23],
         }
     }
+
+    /// The campaign every variant runs on every seed.
+    #[must_use]
+    pub fn campaign(&self) -> CampaignConfig {
+        CampaignConfig::quick(self.cases)
+    }
 }
 
 /// One ablation variant's outcome (means over the configured seeds).
@@ -73,7 +79,7 @@ pub fn run_ablation(cfg: &AblationConfig) -> Vec<AblationRow> {
     for (_, configure) in &vars {
         for &seed in &cfg.seeds {
             let configure = *configure;
-            let cases = cfg.cases;
+            let campaign = cfg.campaign();
             let hidden = cfg.hidden;
             jobs.push(Box::new(move || {
                 let mut hfl_cfg = HflConfig::small().with_seed(seed);
@@ -81,7 +87,7 @@ pub fn run_ablation(cfg: &AblationConfig) -> Vec<AblationRow> {
                 hfl_cfg.predictor.hidden = hidden;
                 configure(&mut hfl_cfg);
                 let mut hfl = HflFuzzer::new(hfl_cfg);
-                let spec = CampaignSpec::builder(CoreKind::Rocket, CampaignConfig::quick(cases))
+                let spec = CampaignSpec::builder(CoreKind::Rocket, campaign)
                     .build()
                     .expect("valid campaign spec");
                 let result = run_campaign(&mut hfl, &spec).expect("campaign runs");

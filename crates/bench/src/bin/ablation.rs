@@ -3,21 +3,22 @@
 //! RocketChip budget.
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin ablation -- \
-//!     [--cases N] [--hidden N] [--seed N]
+//! usage: ablation [--cases 600] [--hidden 48] [--seed N]
 //! ```
+//!
+//! Without `--seed` each variant averages seeds 21, 22 and 23.
 
+use hfl::cli::Args;
 use hfl_bench::ablation::{run_ablation, AblationConfig};
-use hfl_bench::arg_num;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args = Args::from_env();
     let mut cfg = AblationConfig::quick();
-    cfg.cases = arg_num(&args, "--cases", cfg.cases);
-    cfg.hidden = arg_num(&args, "--hidden", cfg.hidden);
-    if let Some(seed) = hfl_bench::arg_value(&args, "--seed") {
-        cfg.seeds = vec![seed.parse().unwrap_or(21)];
-    }
+    cfg.cases = args.value("--cases", cfg.cases);
+    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.seeds = args.opt("--seed", "N").map_or(cfg.seeds, |seed| vec![seed]);
+    args.done();
+    hfl_bench::exit_if_invalid("ablation", &[cfg.campaign()]);
 
     println!(
         "ablation: {} cases per variant on RocketChip, hidden {}, {} seeds averaged",

@@ -9,25 +9,23 @@
 //! + the GRM checking the DUT's trace).
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin bench_sim -- \
-//!     [--out BENCH_sim.json]         # write a fresh baseline
-//!     [--check BENCH_sim.json]       # fail if predecoded steps/sec regresses > tolerance
-//!     [--tolerance 0.20]             # regression budget for --check
-//!     [--require-speedup 5.0]        # minimum predecode speedup on the GRM micro-bench
-//!     [--iters-scale 1.0]            # scale iteration counts (CI smoke: < 1)
-//!     [--mhart]                      # also time the two-hart system scheduler
+//! usage: bench_sim [--out FILE] [--check FILE] [--tolerance 0.2]
+//!     [--require-speedup 0] [--iters-scale 1] [--mhart]
 //! ```
 //!
-//! `--mhart` adds `mhart_scheduled_steps_per_sec` — discrete-event
-//! scheduler events processed per second on the two-hart machine
-//! (hart steps + timer firings + reference replay) — to the report and
-//! the JSON baseline.
+//! `--out` writes a fresh baseline; `--check` fails on predecoded
+//! steps/sec more than `--tolerance` below it, `--require-speedup` on a
+//! lower GRM predecode speedup (0 checks nothing). `--iters-scale`
+//! scales the iteration counts (CI: < 1). `--mhart` adds
+//! `mhart_scheduled_steps_per_sec` — discrete-event scheduler events
+//! processed per second on the two-hart machine (hart steps + timer
+//! firings + reference replay) — to the report and the JSON baseline.
 
 use std::time::Instant;
 
 use hfl::baselines::TestBody;
+use hfl::cli::Args;
 use hfl::harness::Executor;
-use hfl_bench::{arg_num, arg_value};
 use hfl_dut::{CoreKind, Dut, MhartMachine};
 use hfl_grm::cpu::Cpu;
 use hfl_grm::{PredecodedProgram, Program};
@@ -228,13 +226,17 @@ fn measure(scale: f64) -> Baseline {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale: f64 = arg_num(&args, "--iters-scale", 1.0);
-    let tolerance: f64 = arg_num(&args, "--tolerance", 0.20);
-    let require_speedup: f64 = arg_num(&args, "--require-speedup", 0.0);
+    let mut args = Args::from_env();
+    let out: Option<String> = args.opt("--out", "FILE");
+    let check: Option<String> = args.opt("--check", "FILE");
+    let tolerance: f64 = args.value("--tolerance", 0.20);
+    let require_speedup: f64 = args.value("--require-speedup", 0.0);
+    let scale: f64 = args.value("--iters-scale", 1.0);
+    let mhart = args.switch("--mhart");
+    args.done();
 
     let mut b = measure(scale);
-    if args.iter().any(|a| a == "--mhart") {
+    if mhart {
         b.mhart_scheduled_steps_per_sec = Some(measure_mhart(scale));
     }
     println!("simulator hot path ({LOOP_BODY}-op loop, {STEP_BUDGET} step budget):");
@@ -261,7 +263,7 @@ fn main() {
         );
         failed = true;
     }
-    if let Some(path) = arg_value(&args, "--check") {
+    if let Some(path) = check {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let base = json_number(&text, "grm_predecoded_steps_per_sec")
@@ -284,7 +286,7 @@ fn main() {
             );
         }
     }
-    if let Some(path) = arg_value(&args, "--out") {
+    if let Some(path) = out {
         std::fs::write(&path, b.to_json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");
     }

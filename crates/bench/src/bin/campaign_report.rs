@@ -3,19 +3,17 @@
 //! without re-executing a single test case.
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin campaign_report -- \
-//!     --log telemetry.jsonl [--every N] [--fleet]
-//! cargo run --release -p hfl-bench --bin campaign_report -- \
-//!     --follow --log live.jsonl
-//! cargo run --release -p hfl-bench --bin campaign_report -- \
-//!     --follow --sse 127.0.0.1:7700/jobs/3/events
+//! usage: campaign_report [--log FILE] [--every 1] [--fleet] [--follow]
+//!     [--sse HOST:PORT/jobs/ID/events]
 //! ```
 //!
-//! `--every N` prints every Nth round (plus the last) to keep long
-//! campaigns readable. `--fleet` switches to fleet-log mode: the events
-//! are grouped per member into a per-epoch progress table (with the
-//! scheduler's rate estimates and next-epoch budgets), followed by the
-//! merged-coverage / corpus-sync epoch table.
+//! A replay needs `--log`; `--follow` needs exactly one of `--log` and
+//! `--sse`, and renders round tables only (no `--fleet`). `--every N`
+//! prints every Nth round (plus the last) to keep long campaigns
+//! readable. `--fleet` switches to fleet-log mode: the events are grouped
+//! per member into a per-epoch progress table (with the scheduler's rate
+//! estimates and next-epoch budgets), followed by the merged-coverage /
+//! corpus-sync epoch table.
 //!
 //! `--follow` tails a live campaign instead of replaying a finished
 //! one, printing each round row as the round completes. The source is
@@ -26,8 +24,8 @@
 
 use std::time::Duration;
 
+use hfl::cli::Args;
 use hfl::obs::{read_jsonl, replay_fleet, replay_rounds, Event};
-use hfl_bench::{arg_num, arg_value};
 use hfl_serve::SseClient;
 
 fn fleet_report(path: &str, events: &[Event]) -> ! {
@@ -238,31 +236,22 @@ fn follow_sse(endpoint: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--follow") {
-        if args.iter().any(|a| a == "--fleet") {
-            eprintln!(
-                "campaign_report: --follow renders round tables; run --fleet on the finished log"
-            );
+    let mut args = Args::from_env();
+    let log: Option<String> = args.opt("--log", "FILE");
+    let every: u64 = args.value_in("--every", 1, 1..);
+    let fleet = args.switch("--fleet");
+    let follow = args.switch("--follow");
+    let sse: Option<String> = args.opt("--sse", "HOST:PORT/jobs/ID/events");
+    args.done();
+    let path = match (follow && !fleet, sse, log) {
+        (true, Some(endpoint), None) => follow_sse(&endpoint),
+        (true, None, Some(path)) => follow_file(&path),
+        (false, None, Some(path)) if !follow => path,
+        _ => {
+            eprintln!("campaign_report: give --log, or --follow with --log or --sse (no --fleet)");
             std::process::exit(2);
         }
-        if let Some(endpoint) = arg_value(&args, "--sse") {
-            follow_sse(&endpoint);
-        }
-        if let Some(path) = arg_value(&args, "--log") {
-            follow_file(&path);
-        }
-        eprintln!("usage: campaign_report --follow (--log <live.jsonl> | --sse host:port/jobs/<id>/events)");
-        std::process::exit(2);
-    }
-    let Some(path) = arg_value(&args, "--log") else {
-        eprintln!(
-            "usage: campaign_report --log <telemetry.jsonl> [--every N] [--fleet]\n\
-                    campaign_report --follow (--log <live.jsonl> | --sse host:port/jobs/<id>/events)"
-        );
-        std::process::exit(2);
     };
-    let every: u64 = arg_num(&args, "--every", 1).max(1);
 
     let events = match read_jsonl(&path) {
         Ok(events) => events,
@@ -271,7 +260,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if args.iter().any(|a| a == "--fleet") {
+    if fleet {
         fleet_report(&path, &events);
     }
     let rows = replay_rounds(&events);

@@ -2,28 +2,30 @@
 //! predictor per coverage point on RocketChip.
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin fig3_predictor_accuracy -- \
-//!     [--cases N] [--epochs N] [--hidden N] [--seed N] [--paper]
+//! usage: fig3_predictor_accuracy [--paper] [--cases 600] [--epochs 15]
+//!     [--hidden 48] [--seed 1]
 //! ```
 //!
 //! `--paper` selects the paper-scale configuration (830 000 cases, 200
-//! epochs, hidden 256); the default finishes in about a minute.
+//! epochs, hidden 256) as the defaults of the other flags; the quick
+//! defaults above finish in about a minute.
 
+use hfl::cli::Args;
 use hfl_bench::fig3::{run_fig3, Fig3Config};
-use hfl_bench::{arg_num, arg_value};
 use hfl_dut::CoverageKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if arg_value(&args, "--paper").is_some() || args.iter().any(|a| a == "--paper") {
+    let mut args = Args::from_env();
+    let mut cfg = if args.switch("--paper") {
         Fig3Config::paper()
     } else {
         Fig3Config::quick()
     };
-    cfg.cases = arg_num(&args, "--cases", cfg.cases);
-    cfg.max_epochs = arg_num(&args, "--epochs", cfg.max_epochs);
-    cfg.hidden = arg_num(&args, "--hidden", cfg.hidden);
-    cfg.seed = arg_num(&args, "--seed", cfg.seed);
+    cfg.cases = args.value("--cases", cfg.cases);
+    cfg.max_epochs = args.value("--epochs", cfg.max_epochs);
+    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.seed = args.value("--seed", cfg.seed);
+    args.done();
 
     println!(
         "fig3: {} cases x {} instr on {}, hidden {}, <= {} epochs (patience {})",

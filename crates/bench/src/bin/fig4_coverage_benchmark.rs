@@ -3,33 +3,38 @@
 //! CVA6 for condition, line and FSM coverage (nine panel triples).
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin fig4_coverage_benchmark -- \
-//!     [--cases N] [--hidden N] [--seed N]
+//! usage: fig4_coverage_benchmark [--cases 1500] [--hidden 64]
+//!     [--test-len 32] [--lr 0.001] [--seed 7] [--threads 1] [--batch 1]
+//!     [--core rocket|boom|cva6]
 //! ```
+//!
+//! Without `--core` the sweep covers all three cores.
 
-use hfl_bench::arg_num;
+use hfl::cli::Args;
+use hfl::spec::parse_core;
 use hfl_bench::fig4::{run_fig4, Fig4Config};
 use hfl_dut::CoverageKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args = Args::from_env();
     let mut cfg = Fig4Config::quick();
-    cfg.cases = arg_num(&args, "--cases", cfg.cases);
+    cfg.cases = args.value("--cases", cfg.cases);
+    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.test_len = args.value("--test-len", cfg.test_len);
+    cfg.lr = args.value("--lr", cfg.lr);
+    cfg.seed = args.value("--seed", cfg.seed);
+    cfg.threads = args.value("--threads", cfg.threads);
+    cfg.batch = args.value("--batch", cfg.batch);
+    let core: Option<String> = args.opt("--core", "rocket|boom|cva6");
+    args.done();
     cfg.sample_every = (cfg.cases / 10).max(1);
-    cfg.hidden = arg_num(&args, "--hidden", cfg.hidden);
-    cfg.test_len = arg_num(&args, "--test-len", cfg.test_len);
-    cfg.lr = arg_num(&args, "--lr", cfg.lr);
-    cfg.seed = arg_num(&args, "--seed", cfg.seed);
-    cfg.threads = arg_num(&args, "--threads", cfg.threads);
-    cfg.batch = arg_num(&args, "--batch", cfg.batch);
-    if let Some(core) = hfl_bench::arg_value(&args, "--core") {
-        cfg.cores = match core.as_str() {
-            "rocket" => vec![hfl_dut::CoreKind::Rocket],
-            "boom" => vec![hfl_dut::CoreKind::Boom],
-            "cva6" => vec![hfl_dut::CoreKind::Cva6],
-            other => panic!("unknown core {other}"),
-        };
+    if let Some(name) = core {
+        cfg.cores = vec![parse_core(&name).unwrap_or_else(|err| {
+            eprintln!("fig4_coverage_benchmark: --core: {err}");
+            std::process::exit(1)
+        })];
     }
+    hfl_bench::exit_if_invalid("fig4_coverage_benchmark", &[cfg.campaign()]);
 
     println!(
         "fig4: {} cases per fuzzer per core, HFL hidden {}",

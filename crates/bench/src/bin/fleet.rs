@@ -7,123 +7,64 @@
 //! disagreement.
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin fleet -- \
-//!     [--members difuzz:5,thehuzz:9] [--core rocket|boom|cva6] \
-//!     [--epochs N] [--cases-per-epoch N] [--batch N] [--threads N] \
-//!     [--log fleet.jsonl] [--checkpoint-dir DIR] [--checkpoint-every E] \
-//!     [--resume] [--compare] \
-//!     [--distributed] [--worker-bin path/to/fleet_worker] \
-//!     [--fault-worker I --fault-die-epoch N] \
-//!     [--fault-worker I --fault-sleep-epoch N --fault-sleep-ms M]
+//! usage: fleet [--members difuzz:7,cascade:1] [--core rocket] [--epochs 4]
+//!     [--cases-per-epoch 24] [--batch 4] [--threads 2] [--log fleet.jsonl]
+//!     [--checkpoint-dir DIR] [--checkpoint-every 1] [--resume] [--compare]
+//!     [--distributed] [--worker-bin FILE]
 //! ```
 //!
 //! `--members` is a comma-separated list of `fuzzer:seed` pairs
-//! (`hfl|difuzz|thehuzz|cascade`). With `--checkpoint-dir` the fleet
-//! snapshots every `--checkpoint-every` epochs (default 1); `--resume`
-//! continues from `fleet.ckpt` there — the CI job kills the first run
-//! partway and diffs the resumed run's final line against an
-//! uninterrupted one.
+//! (`hfl|difuzz|thehuzz|cascade`), and `--core` is one of `rocket`,
+//! `boom` and `cva6`. With `--checkpoint-dir` the fleet snapshots every
+//! `--checkpoint-every` epochs; `--resume` continues from `fleet.ckpt`
+//! there — the CI job kills the first run partway and diffs the resumed
+//! run's final line against an uninterrupted one.
 //!
 //! `--distributed` runs the fleet over the `hfl::wire` protocol instead
 //! of in process: with `--worker-bin` each member is a separate
 //! `fleet_worker` process (what the CI `fleet-dist-smoke` job SIGKILLs
 //! mid-epoch), without it protocol-identical worker threads. The final
-//! greppable line must be bit-identical either way. The `--fault-*`
-//! flags inject a first-launch crash or stall into one worker to
-//! exercise respawn and quorum/deadline epoch close.
+//! greppable line must be bit-identical either way.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec};
+use hfl::cli::Args;
 use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetSpec};
 use hfl::fleet_dist::{
-    run_fleet_dist, DistConfig, ProcessLauncher, ThreadLauncher, WorkerFault, WorkerLauncher,
+    run_fleet_dist, DistConfig, ProcessLauncher, ThreadLauncher, WorkerLauncher,
 };
 use hfl::obs::{read_jsonl, replay_fleet, JsonlSink, SinkHandle};
 use hfl::spec::{parse_core, MemberSpec};
 use hfl::FleetResult;
-use hfl_bench::{arg_num, arg_value};
-use hfl_dut::CoreKind;
 
 fn fail(msg: &str) -> ! {
     eprintln!("fleet: FAIL: {msg}");
     std::process::exit(1);
 }
 
-/// The `--fault-*` flags as a [`WorkerFault`] plus its target index.
-fn parse_fault(args: &[String]) -> Option<(usize, WorkerFault)> {
-    let worker: Option<usize> = arg_value(args, "--fault-worker").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| fail(&format!("--fault-worker {v:?} is not an index")))
-    });
-    let fault = WorkerFault {
-        die_at_epoch: arg_value(args, "--fault-die-epoch").map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail(&format!("--fault-die-epoch {v:?} is not a number")))
-        }),
-        sleep_at_epoch: arg_value(args, "--fault-sleep-epoch").map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail(&format!("--fault-sleep-epoch {v:?} is not a number")))
-        }),
-        sleep_millis: arg_num(args, "--fault-sleep-ms", 2_000),
-    };
-    match (
-        worker,
-        fault.die_at_epoch.is_some() || fault.sleep_at_epoch.is_some(),
-    ) {
-        (Some(index), true) => Some((index, fault)),
-        (Some(_), false) => fail("--fault-worker needs --fault-die-epoch or --fault-sleep-epoch"),
-        (None, true) => fail("--fault-die-epoch/--fault-sleep-epoch need --fault-worker"),
-        (None, false) => None,
-    }
-}
-
-/// The fault flags a `fleet_worker` process re-parses on launch.
-fn fault_args(fault: &WorkerFault) -> Vec<String> {
-    let mut args = Vec::new();
-    if let Some(epoch) = fault.die_at_epoch {
-        args.push(String::from("--fault-die-epoch"));
-        args.push(epoch.to_string());
-    }
-    if let Some(epoch) = fault.sleep_at_epoch {
-        args.push(String::from("--fault-sleep-epoch"));
-        args.push(epoch.to_string());
-        args.push(String::from("--fault-sleep-ms"));
-        args.push(fault.sleep_millis.to_string());
-    }
-    args
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let members_spec =
-        arg_value(&args, "--members").unwrap_or_else(|| "difuzz:7,cascade:1".to_owned());
-    let core = match arg_value(&args, "--core") {
-        Some(name) => parse_core(&name).unwrap_or_else(|err| fail(&format!("--core: {err}"))),
-        None => CoreKind::Rocket,
-    };
-    let epochs: u64 = arg_num(&args, "--epochs", 4);
-    let cases_per_epoch: u64 = arg_num(&args, "--cases-per-epoch", 24);
-    let batch: usize = arg_num(&args, "--batch", 4);
-    let threads: usize = arg_num(&args, "--threads", 2);
-    let log = arg_value(&args, "--log").unwrap_or_else(|| "fleet.jsonl".to_owned());
-    let checkpoint_dir = arg_value(&args, "--checkpoint-dir");
-    let checkpoint_every: u64 = arg_num(&args, "--checkpoint-every", 1);
-    let resume = args.iter().any(|a| a == "--resume");
-    let compare = args.iter().any(|a| a == "--compare");
-    let worker_bin = arg_value(&args, "--worker-bin");
-    let distributed = args.iter().any(|a| a == "--distributed") || worker_bin.is_some();
-    let fault = parse_fault(&args);
-    if fault.is_some() && !distributed {
-        fail("--fault-worker needs --distributed");
-    }
+    let mut args = Args::from_env();
+    let members_spec: String = args.value("--members", "difuzz:7,cascade:1".to_owned());
+    let core: String = args.value("--core", "rocket".to_owned());
+    let epochs: u64 = args.value("--epochs", 4);
+    let cases_per_epoch: u64 = args.value("--cases-per-epoch", 24);
+    let batch: usize = args.value("--batch", 4);
+    let threads: usize = args.value("--threads", 2);
+    let log: String = args.value("--log", "fleet.jsonl".to_owned());
+    let checkpoint_dir: Option<String> = args.opt("--checkpoint-dir", "DIR");
+    let checkpoint_every: u64 = args.value("--checkpoint-every", 1);
+    let resume = args.switch("--resume");
+    let compare = args.switch("--compare");
+    let distributed = args.switch("--distributed");
+    let worker_bin: Option<String> = args.opt("--worker-bin", "FILE");
+    args.done();
+    let distributed = distributed || worker_bin.is_some();
 
+    let core = parse_core(&core).unwrap_or_else(|err| fail(&format!("--core: {err}")));
     let specs = MemberSpec::parse_list(&members_spec, core)
         .unwrap_or_else(|err| fail(&format!("--members: {err}")));
-    if specs.is_empty() {
-        fail("--members is empty");
-    }
 
     let config = FleetConfig::quick(epochs, cases_per_epoch).with_batch(batch);
     let mut builder = FleetSpec::builder(config).threads(threads);
@@ -151,20 +92,8 @@ fn main() {
 
     let result: FleetResult = if distributed {
         let mut launcher: Box<dyn WorkerLauncher> = match &worker_bin {
-            Some(bin) => {
-                let mut launcher = ProcessLauncher::new(bin);
-                if let Some((index, fault)) = &fault {
-                    launcher = launcher.with_first_launch_args(*index, fault_args(fault));
-                }
-                Box::new(launcher)
-            }
-            None => {
-                let mut launcher = ThreadLauncher::new();
-                if let Some((index, fault)) = &fault {
-                    launcher = launcher.with_fault(*index, *fault);
-                }
-                Box::new(launcher)
-            }
+            Some(bin) => Box::new(ProcessLauncher::new(bin)),
+            None => Box::new(ThreadLauncher::new()),
         };
         match run_fleet_dist(&specs, &spec, &DistConfig::default(), launcher.as_mut()) {
             Ok(result) => result,
@@ -216,17 +145,13 @@ fn main() {
             ));
         }
     }
-    // A faulted worker may legitimately miss an epoch's progress row; only
-    // the healthy path insists on one row per member per epoch.
-    if fault.is_none() {
-        let per_member = replay.members.iter().filter(|m| m.member == 0).count();
-        if per_member != replay.epochs.len() {
-            fail(&format!(
-                "{} member-0 progress rows for {} epochs",
-                per_member,
-                replay.epochs.len()
-            ));
-        }
+    let per_member = replay.members.iter().filter(|m| m.member == 0).count();
+    if per_member != replay.epochs.len() {
+        fail(&format!(
+            "{} member-0 progress rows for {} epochs",
+            per_member,
+            replay.epochs.len()
+        ));
     }
     for name in [
         "fleet.sync.seconds",

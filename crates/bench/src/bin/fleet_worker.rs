@@ -3,39 +3,30 @@
 //! the `hfl::wire` protocol, and runs whatever epoch grants arrive.
 //!
 //! ```text
-//! fleet_worker --connect 127.0.0.1:PORT --worker I \
-//!     [--fault-die-epoch N] \
-//!     [--fault-sleep-epoch N] [--fault-sleep-ms M]
+//! usage: fleet_worker [--connect HOST:PORT] [--worker 0]
 //! ```
 //!
-//! The coordinator launches this binary itself (`fleet --distributed
-//! --worker-bin …`, or `hfl-serve --worker-bin …`); the flags exist so
-//! launchers can inject first-launch faults — die silently at epoch `N`
-//! (exercises heartbeat death detection and respawn) or stall for `M`
-//! milliseconds at epoch `N` (exercises quorum/deadline epoch close).
-//! Respawned workers are always launched without fault flags.
+//! `--connect` is required. The coordinator launches this binary itself
+//! (`fleet --distributed --worker-bin …`, or `hfl-serve --worker-bin
+//! …`), passing its listener's address and the worker's index.
 //!
 //! Exit status is 0 on a clean `Shutdown`/disconnect and 1 on a
 //! protocol error (version mismatch, corrupt frame, bad state blob).
 
-use hfl::fleet_dist::{run_worker, WorkerFault};
-use hfl_bench::{arg_num, arg_value};
+use hfl::cli::Args;
+use hfl::fleet_dist::run_worker;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(addr) = arg_value(&args, "--connect") else {
+    let mut args = Args::from_env();
+    let addr: Option<String> = args.opt("--connect", "HOST:PORT");
+    let worker: u32 = args.value("--worker", 0);
+    args.done();
+    let Some(addr) = addr else {
         eprintln!("fleet_worker: --connect HOST:PORT is required");
         std::process::exit(2);
     };
-    let worker: u32 = arg_num(&args, "--worker", 0);
-    let fault = WorkerFault {
-        die_at_epoch: arg_value(&args, "--fault-die-epoch").and_then(|v| v.parse().ok()),
-        sleep_at_epoch: arg_value(&args, "--fault-sleep-epoch").and_then(|v| v.parse().ok()),
-        sleep_millis: arg_num(&args, "--fault-sleep-ms", 2_000),
-    };
-    let fault = (fault.die_at_epoch.is_some() || fault.sleep_at_epoch.is_some()).then_some(fault);
 
-    if let Err(err) = run_worker(&addr, worker, fault) {
+    if let Err(err) = run_worker(&addr, worker, None) {
         eprintln!("fleet_worker {worker}: {err}");
         std::process::exit(1);
     }

@@ -4,21 +4,21 @@
 //! coverage curve. Exits non-zero on any disagreement.
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin smoke -- \
-//!     [--seed N] [--fuzzer hfl|difuzz|thehuzz|cascade|scenario|goldenfuzz] \
-//!     [--cases N] \
-//!     [--batch N] [--threads N] [--log telemetry.jsonl] \
-//!     [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] [--resume] \
-//!     [--fault-case N] [--fault-kind panic|hang|ioerror] [--fault-sticky] \
-//!     [--max-retries N] [--mhart] [--bug ID]
+//! usage: smoke [--seed 1] [--fuzzer hfl] [--cases 60] [--batch 4]
+//!     [--threads 2] [--log telemetry.jsonl] [--checkpoint-dir DIR]
+//!     [--checkpoint-every 1] [--resume] [--fault-case N]
+//!     [--fault-kind panic|hang|ioerror] [--fault-sticky] [--max-retries 1]
+//!     [--mhart] [--bug ID]
 //! ```
 //!
-//! With `--checkpoint-dir` the campaign snapshots into that directory
-//! every `--checkpoint-every` rounds (default 1); `--resume` continues
-//! from the latest snapshot there (the CI crash-resume job kills the
-//! first run partway and then reruns with `--resume`). The `--fault-*`
-//! flags inject a deterministic worker fault at the given global case
-//! index to exercise the containment path.
+//! `--fuzzer` is one of `hfl`, `difuzz`, `thehuzz`, `cascade`,
+//! `scenario` and `goldenfuzz`. With `--checkpoint-dir` the campaign
+//! snapshots into that directory every `--checkpoint-every` rounds;
+//! `--resume` continues from the latest snapshot there (the CI
+//! crash-resume job kills the first run partway and then reruns with
+//! `--resume`). The `--fault-*` flags inject a deterministic worker
+//! fault (a panic unless `--fault-kind` says otherwise) at the given
+//! global case index to exercise the containment path.
 //!
 //! `--mhart` runs the campaign against the two-hart system DUT, wrapping
 //! the chosen fuzzer in [`InterleaveFuzzer`] so every case carries an
@@ -32,11 +32,11 @@ use std::sync::Arc;
 
 use hfl::baselines::{Feedback, Fuzzer, InterleaveFuzzer, TestBody};
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, CheckpointPolicy};
+use hfl::cli::Args;
 use hfl::exec::{FaultKind, FaultPlan, FaultPolicy};
 use hfl::obs::{read_jsonl, replay_rounds, Event, JsonlSink, SinkHandle};
 use hfl::poc::poc_body_for;
 use hfl::spec::FuzzerKind;
-use hfl_bench::{arg_num, arg_value};
 use hfl_dut::CoreKind;
 use hfl_nn::persist::{read_u64, write_u64, PersistError};
 
@@ -84,24 +84,24 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_num(&args, "--seed", 1);
-    let cases: u64 = arg_num(&args, "--cases", 60);
-    let batch: usize = arg_num(&args, "--batch", 4);
-    let threads: usize = arg_num(&args, "--threads", 2);
-    let fuzzer_name = arg_value(&args, "--fuzzer").unwrap_or_else(|| "hfl".to_owned());
-    let log = arg_value(&args, "--log").unwrap_or_else(|| "telemetry.jsonl".to_owned());
-    let checkpoint_dir = arg_value(&args, "--checkpoint-dir");
-    let checkpoint_every: u64 = arg_num(&args, "--checkpoint-every", 1);
-    let resume = args.iter().any(|a| a == "--resume");
-    let fault_case = arg_value(&args, "--fault-case").map(|v| {
-        v.parse::<u64>()
-            .unwrap_or_else(|_| fail(&format!("--fault-case {v}: not a case index")))
-    });
-    let fault_sticky = args.iter().any(|a| a == "--fault-sticky");
-    let max_retries: u32 = arg_num(&args, "--max-retries", 1);
-    let bug = arg_value(&args, "--bug");
-    let mhart = args.iter().any(|a| a == "--mhart") || bug.is_some();
+    let mut args = Args::from_env();
+    let seed: u64 = args.value("--seed", 1);
+    let fuzzer_name: String = args.value("--fuzzer", "hfl".to_owned());
+    let cases: u64 = args.value("--cases", 60);
+    let batch: usize = args.value("--batch", 4);
+    let threads: usize = args.value("--threads", 2);
+    let log: String = args.value("--log", "telemetry.jsonl".to_owned());
+    let checkpoint_dir: Option<String> = args.opt("--checkpoint-dir", "DIR");
+    let checkpoint_every: u64 = args.value("--checkpoint-every", 1);
+    let resume = args.switch("--resume");
+    let fault_case: Option<u64> = args.opt("--fault-case", "N");
+    let fault_kind: Option<String> = args.opt("--fault-kind", "panic|hang|ioerror");
+    let fault_sticky = args.switch("--fault-sticky");
+    let max_retries: u32 = args.value("--max-retries", 1);
+    let mhart = args.switch("--mhart");
+    let bug: Option<String> = args.opt("--bug", "ID");
+    args.done();
+    let mhart = mhart || bug.is_some();
 
     let mut fuzzer: Box<dyn Fuzzer> = match &bug {
         // The sweep always starts at interleaving seed 0: the defect
@@ -139,7 +139,7 @@ fn main() {
         fail("--resume needs --checkpoint-dir");
     }
     if let Some(case) = fault_case {
-        let kind = match arg_value(&args, "--fault-kind").as_deref() {
+        let kind = match fault_kind.as_deref() {
             Some("hang") => FaultKind::Hang,
             Some("ioerror") => FaultKind::IoError,
             Some("panic") | None => FaultKind::Panic,

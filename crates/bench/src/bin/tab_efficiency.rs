@@ -4,21 +4,23 @@
 //! 100 k-case runs).
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin tab_efficiency -- \
-//!     [--baseline-cases N] [--hfl-cases N] [--hidden N] [--seed N]
+//! usage: tab_efficiency [--baseline-cases 800] [--hfl-cases 400]
+//!     [--hidden 64] [--seed 11] [--threads 1]
 //! ```
 
-use hfl_bench::arg_num;
+use hfl::cli::Args;
 use hfl_bench::efficiency::{run_efficiency, EfficiencyConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args = Args::from_env();
     let mut cfg = EfficiencyConfig::quick();
-    cfg.baseline_cases = arg_num(&args, "--baseline-cases", cfg.baseline_cases);
-    cfg.hfl_cases = arg_num(&args, "--hfl-cases", cfg.hfl_cases);
-    cfg.hidden = arg_num(&args, "--hidden", cfg.hidden);
-    cfg.seed = arg_num(&args, "--seed", cfg.seed);
-    cfg.threads = arg_num(&args, "--threads", cfg.threads);
+    cfg.baseline_cases = args.value("--baseline-cases", cfg.baseline_cases);
+    cfg.hfl_cases = args.value("--hfl-cases", cfg.hfl_cases);
+    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.seed = args.value("--seed", cfg.seed);
+    cfg.threads = args.value("--threads", cfg.threads);
+    args.done();
+    hfl_bench::exit_if_invalid("tab_efficiency", &cfg.campaigns());
 
     println!(
         "efficiency: baselines {} cases each, HFL {} cases, RocketChip condition coverage",

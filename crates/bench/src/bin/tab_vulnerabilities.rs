@@ -4,19 +4,20 @@
 //! against a DUT carrying only that defect.
 //!
 //! ```text
-//! cargo run --release -p hfl-bench --bin tab_vulnerabilities -- \
-//!     [--fuzz-cases N] [--hidden N] [--seed N]
+//! usage: tab_vulnerabilities [--fuzz-cases 250] [--hidden 48] [--seed 13]
 //! ```
 
-use hfl_bench::arg_num;
+use hfl::cli::Args;
 use hfl_bench::vulns::{run_vuln_table, VulnConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args = Args::from_env();
     let mut cfg = VulnConfig::quick();
-    cfg.fuzz_cases = arg_num(&args, "--fuzz-cases", cfg.fuzz_cases);
-    cfg.hidden = arg_num(&args, "--hidden", cfg.hidden);
-    cfg.seed = arg_num(&args, "--seed", cfg.seed);
+    cfg.fuzz_cases = args.value("--fuzz-cases", cfg.fuzz_cases);
+    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.seed = args.value("--seed", cfg.seed);
+    args.done();
+    hfl_bench::exit_if_invalid("tab_vulnerabilities", &[cfg.campaign()]);
 
     println!(
         "vulnerability detection: PoC + HFL fuzzing ({} cases per single-defect DUT)",

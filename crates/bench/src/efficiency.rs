@@ -40,6 +40,24 @@ impl EfficiencyConfig {
             threads: 1,
         }
     }
+
+    /// The campaigns the comparison runs: HFL's, then each baseline's.
+    #[must_use]
+    pub fn campaigns(&self) -> [CampaignConfig; 2] {
+        let run = RunConfig::quick().with_threads(self.threads);
+        [
+            CampaignConfig {
+                cases: self.hfl_cases,
+                sample_every: 1,
+                run,
+            },
+            CampaignConfig {
+                cases: self.baseline_cases,
+                sample_every: (self.baseline_cases / 100).max(1),
+                run,
+            },
+        ]
+    }
 }
 
 /// One row of the efficiency table.
@@ -62,31 +80,18 @@ pub struct EfficiencyRow {
 #[must_use]
 pub fn run_efficiency(cfg: &EfficiencyConfig) -> (Vec<EfficiencyRow>, CampaignResult) {
     let core = CoreKind::Rocket;
+    let [hfl_campaign, baseline_campaign] = cfg.campaigns();
+    let spec = |campaign| {
+        CampaignSpec::builder(core, campaign)
+            .build()
+            .expect("valid campaign spec")
+    };
     let mut hfl_cfg = HflConfig::small().with_seed(cfg.seed);
     hfl_cfg.generator.hidden = cfg.hidden;
     hfl_cfg.predictor.hidden = cfg.hidden;
     let mut hfl = HflFuzzer::new(hfl_cfg);
-    let hfl_result = run_campaign(
-        &mut hfl,
-        &CampaignSpec::builder(
-            core,
-            CampaignConfig {
-                cases: cfg.hfl_cases,
-                sample_every: 1,
-                run: RunConfig::quick(),
-            },
-        )
-        .threads(cfg.threads)
-        .build()
-        .expect("valid campaign spec"),
-    )
-    .expect("campaign runs");
+    let hfl_result = run_campaign(&mut hfl, &spec(hfl_campaign)).expect("campaign runs");
 
-    let campaign = CampaignConfig {
-        cases: cfg.baseline_cases,
-        sample_every: (cfg.baseline_cases / 100).max(1),
-        run: RunConfig::quick(),
-    };
     let mut baselines: Vec<Box<dyn Fuzzer>> = vec![
         Box::new(DifuzzRtlFuzzer::new(cfg.seed, 20)),
         Box::new(TheHuzzFuzzer::new(cfg.seed, 20)),
@@ -97,14 +102,8 @@ pub fn run_efficiency(cfg: &EfficiencyConfig) -> (Vec<EfficiencyRow>, CampaignRe
     let rows = baselines
         .iter_mut()
         .map(|fuzzer| {
-            let result = run_campaign(
-                fuzzer.as_mut(),
-                &CampaignSpec::builder(core, campaign)
-                    .threads(cfg.threads)
-                    .build()
-                    .expect("valid campaign spec"),
-            )
-            .expect("campaign runs");
+            let result =
+                run_campaign(fuzzer.as_mut(), &spec(baseline_campaign)).expect("campaign runs");
             let final_condition = result.final_counts().0;
             let hfl_cases_to_match = hfl_result.cases_to_reach_condition(final_condition);
             EfficiencyRow {

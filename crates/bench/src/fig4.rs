@@ -56,6 +56,18 @@ impl Fig4Config {
             batch: 1,
         }
     }
+
+    /// The campaign every series of the sweep runs.
+    #[must_use]
+    pub fn campaign(&self) -> CampaignConfig {
+        CampaignConfig {
+            cases: self.cases,
+            sample_every: self.sample_every,
+            run: RunConfig::quick()
+                .with_batch(self.batch)
+                .with_threads(self.threads),
+        }
+    }
 }
 
 /// One (fuzzer, core) series of the figure.
@@ -65,16 +77,15 @@ pub type Fig4Series = CampaignResult;
 /// and one GoldenFuzz campaign under identical budgets and measurement.
 #[must_use]
 pub fn run_fig4(cfg: &Fig4Config) -> Vec<Fig4Series> {
-    let campaign = CampaignConfig {
-        cases: cfg.cases,
-        sample_every: cfg.sample_every,
-        run: RunConfig::quick().with_batch(cfg.batch.max(1)),
+    let campaign = cfg.campaign();
+    let spec = move |core| {
+        CampaignSpec::builder(core, campaign)
+            .build()
+            .expect("valid campaign spec")
     };
-    let threads = cfg.threads.max(1);
     let mut jobs: Vec<Box<dyn FnOnce() -> CampaignResult + Send>> = Vec::new();
     for &core in &cfg.cores {
         let cfg = cfg.clone();
-        let c = campaign;
         jobs.push(Box::new(move || {
             let mut hfl_cfg = HflConfig::small().with_seed(cfg.seed);
             hfl_cfg.generator.hidden = cfg.hidden;
@@ -83,39 +94,18 @@ pub fn run_fig4(cfg: &Fig4Config) -> Vec<Fig4Series> {
             hfl_cfg.predictor.lr = cfg.lr;
             hfl_cfg.test_len = cfg.test_len;
             let mut hfl = HflFuzzer::new(hfl_cfg);
-            run_campaign(
-                &mut hfl,
-                &CampaignSpec::builder(core, c)
-                    .threads(threads)
-                    .build()
-                    .expect("valid campaign spec"),
-            )
-            .expect("campaign runs")
+            run_campaign(&mut hfl, &spec(core)).expect("campaign runs")
         }));
         let seed = cfg.seed;
         let cascade_len = cfg.cascade_len;
         jobs.push(Box::new(move || {
             let mut cascade = CascadeFuzzer::new(seed, cascade_len);
-            run_campaign(
-                &mut cascade,
-                &CampaignSpec::builder(core, c)
-                    .threads(threads)
-                    .build()
-                    .expect("valid campaign spec"),
-            )
-            .expect("campaign runs")
+            run_campaign(&mut cascade, &spec(core)).expect("campaign runs")
         }));
         let golden_len = cfg.test_len;
         jobs.push(Box::new(move || {
             let mut golden = GoldenFuzzFuzzer::new(seed, golden_len);
-            run_campaign(
-                &mut golden,
-                &CampaignSpec::builder(core, c)
-                    .threads(threads)
-                    .build()
-                    .expect("valid campaign spec"),
-            )
-            .expect("campaign runs")
+            run_campaign(&mut golden, &spec(core)).expect("campaign runs")
         }));
     }
     crate::parallel::run_parallel(jobs)

@@ -25,52 +25,12 @@ pub mod fig4;
 pub mod parallel;
 pub mod vulns;
 
-/// Parses `--key value` style overrides from a binary's argument list,
-/// returning the value for `key` if present.
-#[must_use]
-pub fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses a numeric `--key value` override with a default.
-///
-/// A flag that is present with a missing or unparsable value ends the
-/// process with exit status 2 and a message naming the flag and the
-/// value, so a mistyped size never runs the default-sized experiment.
-#[must_use]
-pub fn arg_num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    let Some(at) = args.iter().position(|a| a == key) else {
-        return default;
-    };
-    match args.get(at + 1) {
-        Some(value) => value.parse().unwrap_or_else(|_| {
-            eprintln!("{key}: {value:?} is not a valid number");
-            std::process::exit(2)
-        }),
-        None => {
-            eprintln!("{key}: missing value");
-            std::process::exit(2)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--cases", "500", "--hidden", "128"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert_eq!(arg_value(&args, "--cases").as_deref(), Some("500"));
-        assert_eq!(arg_num(&args, "--cases", 10u64), 500);
-        assert_eq!(arg_num(&args, "--hidden", 64usize), 128);
-        assert_eq!(arg_num(&args, "--missing", 7i32), 7);
-        assert_eq!(arg_value(&args, "--hidden").as_deref(), Some("128"));
+/// Ends a harness binary with exit status 1 and `invalid spec: …` on
+/// stderr, before it runs or prints anything, if a campaign config it
+/// would run does not validate.
+pub fn exit_if_invalid(bin: &str, campaigns: &[hfl::CampaignConfig]) {
+    if let Some(err) = campaigns.iter().find_map(|c| c.validate().err()) {
+        eprintln!("{bin}: invalid spec: {err}");
+        std::process::exit(1);
     }
 }

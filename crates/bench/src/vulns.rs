@@ -8,7 +8,7 @@
 //!    produce a mismatch.
 
 use hfl::baselines::InterleaveFuzzer;
-use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, RunConfig};
+use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec};
 use hfl::fuzzer::{HflConfig, HflFuzzer};
 use hfl::harness::Executor;
 use hfl::poc::{poc_body_for, poc_for};
@@ -34,6 +34,15 @@ impl VulnConfig {
             fuzz_cases: 250,
             hidden: 48,
             seed: 13,
+        }
+    }
+
+    /// The campaign that fuzzes each single-defect DUT.
+    #[must_use]
+    pub fn campaign(&self) -> CampaignConfig {
+        CampaignConfig {
+            sample_every: self.fuzz_cases,
+            ..CampaignConfig::quick(self.fuzz_cases)
         }
     }
 }
@@ -89,18 +98,11 @@ pub fn run_vuln_table(cfg: &VulnConfig) -> Vec<VulnRow> {
             let mut hfl_cfg = HflConfig::small().with_seed(cfg.seed);
             hfl_cfg.generator.hidden = cfg.hidden;
             hfl_cfg.predictor.hidden = cfg.hidden;
-            let spec = CampaignSpec::builder(
-                core,
-                CampaignConfig {
-                    cases: cfg.fuzz_cases,
-                    sample_every: cfg.fuzz_cases,
-                    run: RunConfig::quick(),
-                },
-            )
-            .mhart(bug.concurrency)
-            .quirks(quirks)
-            .build()
-            .expect("valid campaign spec");
+            let spec = CampaignSpec::builder(core, cfg.campaign())
+                .mhart(bug.concurrency)
+                .quirks(quirks)
+                .build()
+                .expect("valid campaign spec");
             let campaign = if bug.concurrency {
                 let mut fuzzer = InterleaveFuzzer::new(cfg.seed, HflFuzzer::new(hfl_cfg));
                 run_campaign(&mut fuzzer, &spec).expect("campaign runs")

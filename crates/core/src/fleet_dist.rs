@@ -43,7 +43,6 @@
 //! case the close set is always "everyone".
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -137,7 +136,6 @@ pub trait WorkerLauncher {
 #[derive(Debug)]
 pub struct ProcessLauncher {
     bin: PathBuf,
-    fault_args: BTreeMap<usize, Vec<String>>,
     children: Vec<Option<Child>>,
 }
 
@@ -147,17 +145,8 @@ impl ProcessLauncher {
     pub fn new(bin: impl Into<PathBuf>) -> ProcessLauncher {
         ProcessLauncher {
             bin: bin.into(),
-            fault_args: BTreeMap::new(),
             children: Vec::new(),
         }
-    }
-
-    /// Extra arguments appended only to worker `index`'s **first**
-    /// launch (fault injection; respawns run clean).
-    #[must_use]
-    pub fn with_first_launch_args(mut self, index: usize, args: Vec<String>) -> ProcessLauncher {
-        self.fault_args.insert(index, args);
-        self
     }
 }
 
@@ -166,16 +155,14 @@ impl WorkerLauncher for ProcessLauncher {
         if self.children.len() <= index {
             self.children.resize_with(index + 1, || None);
         }
-        let mut cmd = Command::new(&self.bin);
-        cmd.arg("--connect")
+        let child = Command::new(&self.bin)
+            .arg("--connect")
             .arg(addr.to_string())
             .arg("--worker")
             .arg(index.to_string())
-            .stdin(Stdio::null());
-        if let Some(fault) = self.fault_args.remove(&index) {
-            cmd.args(fault);
-        }
-        self.children[index] = Some(cmd.spawn()?);
+            .stdin(Stdio::null())
+            .spawn()?;
+        self.children[index] = Some(child);
         Ok(())
     }
 

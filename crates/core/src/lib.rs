@@ -41,7 +41,8 @@
 //!   checksummed frame protocol ([`wire::PROTOCOL_VERSION`]) and the
 //!   coordinator/worker runtime that runs fleet members as separate
 //!   processes with heartbeats, crash containment and asynchronous
-//!   quorum/deadline epochs.
+//!   quorum/deadline epochs,
+//! - [`cli`]: the one command-line parser of the workspace's binaries.
 //!
 //! # Examples
 //!
@@ -65,6 +66,7 @@
 
 pub mod baselines;
 pub mod campaign;
+pub mod cli;
 pub mod control;
 pub mod corpus;
 pub mod correction;

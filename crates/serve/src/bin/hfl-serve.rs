@@ -1,11 +1,11 @@
 //! The `hfl-serve` daemon binary.
 //!
 //! ```text
-//! cargo run --release -p hfl-serve --bin hfl-serve -- \
-//!     [--addr 127.0.0.1:7700] [--data-dir hfl-serve-data] [--workers 2] \
-//!     [--worker-bin path/to/fleet_worker]
+//! usage: hfl-serve [--addr 127.0.0.1:7700] [--data-dir hfl-serve-data]
+//!     [--workers 2] [--worker-bin FILE]
 //! ```
 //!
+//! `--workers` is the number of jobs run at once, `1..=`[`hfl::MAX_THREADS`].
 //! With `--worker-bin`, fleet jobs spawn that binary as one worker
 //! process per member (the `hfl::wire` protocol); without it they run
 //! protocol-identical worker threads in the daemon process.
@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use hfl::cli::Args;
 use hfl_serve::{Daemon, DaemonConfig};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -35,54 +36,14 @@ extern "C" fn on_signal(_signum: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: hfl-serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] [--worker-bin BIN]\n\
-             SIGTERM drains gracefully; restart with the same --data-dir to resume."
-        );
-        return;
-    }
-    if let Some(bin) = arg_value(&args, "--worker-bin") {
-        // Fleet jobs read this when choosing process vs thread workers.
-        std::env::set_var(hfl_serve::jobs::WORKER_BIN_ENV, bin);
-    }
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| String::from("127.0.0.1:7700"));
-    let data_dir = arg_value(&args, "--data-dir").unwrap_or_else(|| String::from("hfl-serve-data"));
-    // A present but missing or unparsable value exits 2, like the
-    // harness binaries' `arg_num`, instead of starting two workers; so
-    // does a count of zero, which would run no job, or one above the
-    // thread bound, since each worker is a thread.
-    let workers: usize = match args.iter().position(|a| a == "--workers") {
-        None => 2,
-        Some(at) => match args.get(at + 1) {
-            Some(value) => match value.parse() {
-                Ok(workers) if (1..=hfl::MAX_THREADS).contains(&workers) => workers,
-                Ok(_) => {
-                    eprintln!(
-                        "hfl-serve: --workers: {value} is outside the bounds 1..={}",
-                        hfl::MAX_THREADS
-                    );
-                    std::process::exit(2)
-                }
-                Err(_) => {
-                    eprintln!("hfl-serve: --workers: {value:?} is not a valid number");
-                    std::process::exit(2)
-                }
-            },
-            None => {
-                eprintln!("hfl-serve: --workers: missing value");
-                std::process::exit(2)
-            }
-        },
-    };
+    let mut args = Args::from_env();
+    let addr: String = args.value("--addr", "127.0.0.1:7700".to_owned());
+    let data_dir: String = args.value("--data-dir", "hfl-serve-data".to_owned());
+    // Each worker is a thread, and zero workers would run no job.
+    let workers: usize = args.value_in("--workers", 2, 1..=hfl::MAX_THREADS);
+    let worker_bin = args.opt("--worker-bin", "FILE");
+    args.done();
 
     // The std library has no signal API; registering the classic
     // signal(2) handler directly keeps the daemon dependency-free.
@@ -91,7 +52,8 @@ fn main() {
         signal(SIGINT, on_signal as *const () as usize);
     }
 
-    let config = DaemonConfig::new(addr, data_dir).with_workers(workers);
+    let mut config = DaemonConfig::new(addr, data_dir).with_workers(workers);
+    config.worker_bin = worker_bin;
     let daemon = match Daemon::bind(&config) {
         Ok(daemon) => daemon,
         Err(e) => {

@@ -46,6 +46,9 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Events retained per job for SSE subscribers.
     pub hub_capacity: usize,
+    /// The `fleet_worker` binary fleet jobs run one process per member
+    /// on; `None` runs worker threads in the daemon process instead.
+    pub worker_bin: Option<PathBuf>,
 }
 
 impl DaemonConfig {
@@ -57,6 +60,7 @@ impl DaemonConfig {
             data_dir: data_dir.into(),
             workers: 2,
             hub_capacity: DEFAULT_HUB_CAPACITY,
+            worker_bin: None,
         }
     }
 
@@ -74,6 +78,7 @@ pub struct Daemon {
     listener: TcpListener,
     table: Arc<JobTable>,
     workers: usize,
+    worker_bin: Option<PathBuf>,
 }
 
 impl Daemon {
@@ -90,6 +95,7 @@ impl Daemon {
             listener,
             table,
             workers: config.workers.clamp(1, hfl::MAX_THREADS),
+            worker_bin: config.worker_bin.clone(),
         })
     }
 
@@ -112,7 +118,8 @@ impl Daemon {
         let mut workers = Vec::new();
         for _ in 0..self.workers {
             let table = Arc::clone(&self.table);
-            workers.push(thread::spawn(move || table.worker_loop()));
+            let bin = self.worker_bin.clone();
+            workers.push(thread::spawn(move || table.worker_loop(bin.as_deref())));
         }
         let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         while !shutdown.load(Ordering::SeqCst) {
@@ -439,6 +446,35 @@ mod tests {
             let daemon = Daemon::bind(&unclamped).expect("bind");
             assert_eq!(daemon.workers, bound);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fleet_jobs_launch_the_configured_worker_bin() {
+        let dir = std::env::temp_dir().join(format!("hfl-serve-bin-{}", std::process::id()));
+        let mut config = DaemonConfig::new("127.0.0.1:0", &dir);
+        config.worker_bin = Some(dir.join("no-such-worker"));
+        let daemon = Daemon::bind(&config).expect("bind");
+        let table = daemon.table();
+        let spec = JobSpec::from_json(
+            r#"{"type":"job_spec","kind":"fleet","members":"difuzz:5","epochs":1,"cases_per_epoch":4}"#,
+        )
+        .expect("valid");
+        let id = table.submit(spec).expect("submit");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&shutdown);
+        let running = thread::spawn(move || daemon.run(&stop));
+        while !table.get(id).expect("job").status.is_terminal() {
+            thread::sleep(Duration::from_millis(10));
+        }
+        shutdown.store(true, Ordering::SeqCst);
+        running.join().expect("daemon thread").expect("drain");
+        // The one member's worker process cannot start, so the fleet
+        // has no live worker.
+        let job = table.get(id).expect("job");
+        assert_eq!(job.status, JobStatus::Failed);
+        let error = job.error.unwrap_or_default();
+        assert!(error.contains("no live workers"), "{error}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,8 +7,9 @@
 //! and persisted per job as `spec.json`. Validation happens once, in
 //! [`RunRequest::validate`], during parse. Fleet jobs execute on the
 //! distributed runtime ([`hfl::fleet_dist`]): worker processes when
-//! the daemon was given a worker binary (`--worker-bin` /
-//! `HFL_WORKER_BIN`), protocol-identical worker threads otherwise.
+//! the daemon was given a worker binary
+//! ([`crate::DaemonConfig::worker_bin`]), protocol-identical worker
+//! threads otherwise.
 //! The [`JobTable`] owns every submitted job: a bounded
 //! worker pool drains the queue, each running job streams its JSONL
 //! events both to `events.jsonl` on disk and to an in-memory
@@ -41,11 +42,6 @@ use hfl::StopHandle;
 use crate::hub::EventHub;
 
 pub use hfl::spec::{CampaignRequest, FleetRequest, MemberSpec, RunRequest};
-
-/// Environment variable naming the `fleet_worker` binary fleet jobs
-/// should spawn as worker processes (set by `--worker-bin`). Unset or
-/// empty, fleet jobs run protocol-identical worker threads instead.
-pub const WORKER_BIN_ENV: &str = "HFL_WORKER_BIN";
 
 /// Events retained per job for late SSE subscribers. Small campaigns
 /// fit entirely, so subscribing after completion still replays the full
@@ -327,7 +323,7 @@ impl JobTable {
 
     /// Worker-thread main loop: claim queued jobs until a drain starts,
     /// then return once the queue holds no more runnable work.
-    pub fn worker_loop(&self) {
+    pub fn worker_loop(&self, worker_bin: Option<&Path>) {
         loop {
             let claimed = {
                 let mut state = self.state.lock().expect("table lock");
@@ -359,7 +355,7 @@ impl JobTable {
             let Some((id, spec, resume, control, hub)) = claimed else {
                 return;
             };
-            let outcome = run_job(&spec, &self.job_dir(id), resume, &control, &hub);
+            let outcome = run_job(&spec, &self.job_dir(id), resume, &control, &hub, worker_bin);
             hub.close();
             let mut state = self.state.lock().expect("table lock");
             let draining = state.draining;
@@ -524,7 +520,8 @@ impl EventSink for TeeSink {
 }
 
 /// Executes one job in `dir`, honouring `control` and streaming through
-/// `hub`. On resume, replays the existing `events.jsonl` into the hub
+/// `hub`; a fleet job runs its members on `worker_bin` processes if
+/// given. On resume, replays the existing `events.jsonl` into the hub
 /// and appends to it, so both the file and any subscriber's stream stay
 /// bit-identical to an uninterrupted run.
 fn run_job(
@@ -533,6 +530,7 @@ fn run_job(
     resume: bool,
     control: &StopHandle,
     hub: &Arc<EventHub>,
+    worker_bin: Option<&Path>,
 ) -> Result<JobSummary, String> {
     fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let ckpt_dir = dir.join("ckpt");
@@ -598,9 +596,9 @@ fn run_job(
             // Fleet jobs always run on the distributed runtime; the
             // launcher decides process vs thread workers. Healthy runs
             // are bit-identical to the in-process fleet either way.
-            let mut launcher: Box<dyn WorkerLauncher> = match std::env::var(WORKER_BIN_ENV) {
-                Ok(bin) if !bin.is_empty() => Box::new(ProcessLauncher::new(bin)),
-                _ => Box::new(ThreadLauncher::new()),
+            let mut launcher: Box<dyn WorkerLauncher> = match worker_bin {
+                Some(bin) => Box::new(ProcessLauncher::new(bin)),
+                None => Box::new(ThreadLauncher::new()),
             };
             let result = run_fleet_dist(
                 &job.members,

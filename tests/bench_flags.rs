@@ -1,15 +1,158 @@
-//! The harness binaries refuse a numeric flag whose value is missing or
-//! does not parse: they exit with status 2 and name the flag, instead of
-//! running the default-sized experiment. A zero batch or thread count is
-//! refused as an invalid run, not run as 1.
+//! The harness binaries read their command line through `hfl::cli`: each
+//! answers `--help` with its synopsis, and refuses an unknown or
+//! repeated flag, a stray argument, or a value that is missing or does
+//! not parse with exit status 2, naming the flag, instead of running
+//! another experiment. A zero batch, thread or case count is refused as
+//! an invalid run (exit 1), not run as 1.
 
 use std::process::{Command, Output};
 
-fn tab_vulnerabilities(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_tab_vulnerabilities"))
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
         .args(args)
         .output()
-        .expect("tab_vulnerabilities starts")
+        .expect("binary starts")
+}
+
+fn tab_vulnerabilities(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_tab_vulnerabilities"), args)
+}
+
+/// Every hfl-bench binary, with one flag it reads (and its value).
+const BINS: [(&str, &str, &[&str]); 10] = [
+    (
+        "ablation",
+        env!("CARGO_BIN_EXE_ablation"),
+        &["--cases", "1"],
+    ),
+    ("bench_sim", env!("CARGO_BIN_EXE_bench_sim"), &["--mhart"]),
+    (
+        "campaign_report",
+        env!("CARGO_BIN_EXE_campaign_report"),
+        &["--log", "x.jsonl"],
+    ),
+    (
+        "fig3_predictor_accuracy",
+        env!("CARGO_BIN_EXE_fig3_predictor_accuracy"),
+        &["--paper"],
+    ),
+    (
+        "fig4_coverage_benchmark",
+        env!("CARGO_BIN_EXE_fig4_coverage_benchmark"),
+        &["--core", "boom"],
+    ),
+    ("fleet", env!("CARGO_BIN_EXE_fleet"), &["--epochs", "1"]),
+    (
+        "fleet_worker",
+        env!("CARGO_BIN_EXE_fleet_worker"),
+        &["--worker", "1"],
+    ),
+    ("smoke", env!("CARGO_BIN_EXE_smoke"), &["--resume"]),
+    (
+        "tab_efficiency",
+        env!("CARGO_BIN_EXE_tab_efficiency"),
+        &["--threads", "1"],
+    ),
+    (
+        "tab_vulnerabilities",
+        env!("CARGO_BIN_EXE_tab_vulnerabilities"),
+        &["--seed", "1"],
+    ),
+];
+
+/// The `text` block of a binary's module docs: the synopsis it documents.
+fn documented_synopsis(bin: &str) -> String {
+    let path = format!("{}/src/bin/{bin}.rs", env!("CARGO_MANIFEST_DIR"));
+    let source = std::fs::read_to_string(&path).expect("binary source");
+    source
+        .lines()
+        .skip_while(|l| *l != "//! ```text")
+        .skip(1)
+        .take_while(|l| *l != "//! ```")
+        .map(|l| format!("{}\n", &l[4..]))
+        .collect()
+}
+
+#[test]
+fn every_binary_answers_help_and_refuses_what_it_cannot_read() {
+    for (bin, exe, flag) in BINS {
+        let help = run(exe, &["--help"]);
+        assert_eq!(help.status.code(), Some(0), "{bin} --help");
+        let synopsis = String::from_utf8_lossy(&help.stdout);
+        assert!(
+            synopsis.starts_with(&format!("usage: {bin} ")),
+            "{synopsis}"
+        );
+        assert_eq!(synopsis, documented_synopsis(bin), "{bin}'s module docs");
+
+        let repeated = [flag, flag].concat();
+        let twice = format!("{}: given more than once", flag[0]);
+        for (args, message) in [
+            (&["--nosuch"][..], "--nosuch: unknown flag"),
+            (&["stray"][..], "\"stray\": stray argument"),
+            (&repeated[..], twice.as_str()),
+        ] {
+            let out = run(exe, args);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{bin} {args:?} ran");
+        }
+    }
+}
+
+#[test]
+fn an_invalid_harness_run_exits_1_before_anything_runs() {
+    let fig4 = env!("CARGO_BIN_EXE_fig4_coverage_benchmark");
+    for (bin, args, message) in [
+        (
+            fig4,
+            &["--batch", "0"][..],
+            "invalid spec: round batch size",
+        ),
+        (
+            fig4,
+            &["--threads", "0"][..],
+            "invalid spec: the pool needs",
+        ),
+        (fig4, &["--core", "nosuch"][..], "--core: unknown core"),
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--cases", "0"][..],
+            "invalid spec: campaign case budget",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tab_vulnerabilities"),
+            &["--fuzz-cases", "0"][..],
+            "invalid spec: campaign case budget",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tab_efficiency"),
+            &["--threads", "0"][..],
+            "invalid spec: the pool needs",
+        ),
+    ] {
+        let out = run(bin, args);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran");
+    }
+}
+
+#[test]
+fn a_zero_report_stride_exits_2() {
+    let out = run(
+        env!("CARGO_BIN_EXE_campaign_report"),
+        &["--log", "x.jsonl", "--every", "0"],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--every: 0 is outside the bounds 1.."),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

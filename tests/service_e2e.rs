@@ -439,3 +439,15 @@ fn a_worker_count_above_the_thread_bound_exits_2_before_binding() {
     );
     assert!(out.stdout.is_empty(), "the daemon never bound: {out:?}");
 }
+
+#[test]
+fn an_unknown_flag_exits_2_before_binding() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hfl-serve"))
+        .args(["--addr", "127.0.0.1:0", "--nosuch"])
+        .output()
+        .expect("hfl-serve starts");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--nosuch: unknown flag"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the daemon never bound: {out:?}");
+}
