@@ -15,7 +15,7 @@ fn main() {
     let mut args = Args::from_env();
     let mut cfg = AblationConfig::quick();
     cfg.cases = args.value("--cases", cfg.cases);
-    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.hidden = args.value_in("--hidden", cfg.hidden, 1..);
     cfg.seeds = args.opt("--seed", "N").map_or(cfg.seeds, |seed| vec![seed]);
     args.done();
     hfl_bench::exit_if_invalid("ablation", &[cfg.campaign()]);

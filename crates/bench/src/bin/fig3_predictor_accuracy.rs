@@ -21,9 +21,9 @@ fn main() {
     } else {
         Fig3Config::quick()
     };
-    cfg.cases = args.value("--cases", cfg.cases);
+    cfg.cases = args.value_in("--cases", cfg.cases, 1..);
     cfg.max_epochs = args.value("--epochs", cfg.max_epochs);
-    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.hidden = args.value_in("--hidden", cfg.hidden, 1..);
     cfg.seed = args.value("--seed", cfg.seed);
     args.done();
 

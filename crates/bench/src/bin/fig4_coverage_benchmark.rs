@@ -19,7 +19,7 @@ fn main() {
     let mut args = Args::from_env();
     let mut cfg = Fig4Config::quick();
     cfg.cases = args.value("--cases", cfg.cases);
-    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.hidden = args.value_in("--hidden", cfg.hidden, 1..);
     cfg.test_len = args.value("--test-len", cfg.test_len);
     cfg.lr = args.value("--lr", cfg.lr);
     cfg.seed = args.value("--seed", cfg.seed);

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec};
 use hfl::cli::Args;
-use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetSpec};
+use hfl::fleet::{check_line_up, run_fleet, FleetConfig, FleetMember, FleetSpec};
 use hfl::fleet_dist::{
     run_fleet_dist, DistConfig, ProcessLauncher, ThreadLauncher, WorkerLauncher,
 };
@@ -81,8 +81,13 @@ fn main() {
     }
     // Creating the log truncates an earlier one, so it waits until the
     // run is known to be valid.
-    if let Err(err) = builder.clone().build() {
-        fail(&format!("invalid spec: {err}"));
+    match builder.clone().build() {
+        Ok(spec) => {
+            if let Err(err) = check_line_up(specs.len(), &spec) {
+                fail(&format!("fleet failed: {err}"));
+            }
+        }
+        Err(err) => fail(&format!("invalid spec: {err}")),
     }
     let sink = match JsonlSink::create(&log) {
         Ok(sink) => SinkHandle::new(Arc::new(sink)),

@@ -16,7 +16,7 @@ fn main() {
     let mut cfg = EfficiencyConfig::quick();
     cfg.baseline_cases = args.value("--baseline-cases", cfg.baseline_cases);
     cfg.hfl_cases = args.value("--hfl-cases", cfg.hfl_cases);
-    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.hidden = args.value_in("--hidden", cfg.hidden, 1..);
     cfg.seed = args.value("--seed", cfg.seed);
     cfg.threads = args.value("--threads", cfg.threads);
     args.done();

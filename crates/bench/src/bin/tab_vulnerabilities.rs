@@ -14,7 +14,7 @@ fn main() {
     let mut args = Args::from_env();
     let mut cfg = VulnConfig::quick();
     cfg.fuzz_cases = args.value("--fuzz-cases", cfg.fuzz_cases);
-    cfg.hidden = args.value("--hidden", cfg.hidden);
+    cfg.hidden = args.value_in("--hidden", cfg.hidden, 1..);
     cfg.seed = args.value("--seed", cfg.seed);
     args.done();
     hfl_bench::exit_if_invalid("tab_vulnerabilities", &[cfg.campaign()]);

@@ -337,7 +337,8 @@ impl CheckpointPolicy {
 }
 
 /// A campaign or fleet run failed outside the fuzzing loop itself: its
-/// spec was invalid, or its checkpoint could not be written or read back.
+/// spec was invalid, its checkpoint could not be written or read back,
+/// or a distributed fleet lost its workers.
 /// One hierarchy covers both runners so callers (CLIs, the `hfl-serve`
 /// daemon) map failures to exit codes / HTTP statuses in one place:
 /// [`RunError::is_invalid_input`] distinguishes caller mistakes (400)
@@ -364,11 +365,19 @@ pub enum RunError {
     /// back empty. A caller-side pairing mistake, not an environment
     /// failure — the campaign state is untouched and resumable.
     Compose(ComposeError),
+    /// A distributed fleet lost every worker that could still report
+    /// epoch `epoch`: each died with its respawns exhausted. An
+    /// environment failure, not the input.
+    WorkersLost {
+        /// The epoch that could not close.
+        epoch: u64,
+    },
 }
 
 impl RunError {
     /// Whether the failure is the caller's input (invalid spec/roster)
-    /// rather than the environment (I/O, corrupt snapshots).
+    /// rather than the environment (I/O, corrupt snapshots, lost
+    /// workers).
     #[must_use]
     pub fn is_invalid_input(&self) -> bool {
         matches!(
@@ -395,6 +404,11 @@ impl fmt::Display for RunError {
                 "per-epoch budget of {cases_per_epoch} cases cannot cover {members} members"
             ),
             RunError::Compose(e) => write!(f, "round composition failed: {e}"),
+            RunError::WorkersLost { epoch } => write!(
+                f,
+                "no live workers remain in the fleet: every worker that could \
+                 report epoch {epoch} died with its respawns exhausted"
+            ),
         }
     }
 }

@@ -866,8 +866,13 @@ impl Members for InProcess<'_> {
 }
 
 /// Rejects an empty line-up and a per-epoch budget that cannot give
-/// every member a case.
-pub(crate) fn check_line_up(members: usize, spec: &FleetSpec) -> Result<(), RunError> {
+/// every member a case: the check both fleet runtimes make first, so a
+/// caller can make it before it creates anything a refused run would
+/// leave behind.
+///
+/// # Errors
+/// [`RunError::NoMembers`] or [`RunError::BudgetTooSmall`].
+pub fn check_line_up(members: usize, spec: &FleetSpec) -> Result<(), RunError> {
     if members == 0 {
         return Err(RunError::NoMembers);
     }

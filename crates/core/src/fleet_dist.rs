@@ -653,10 +653,7 @@ impl Coordinator<'_> {
                     return Ok(());
                 }
                 if waiting == 0 && reported == 0 {
-                    return Err(corrupt(
-                        "every worker granted this epoch died with respawns exhausted",
-                    )
-                    .into());
+                    return Err(RunError::WorkersLost { epoch });
                 }
                 if Instant::now() >= deadline
                     && reported >= 1
@@ -674,7 +671,7 @@ impl Coordinator<'_> {
                 let busy_alive = (0..self.len())
                     .any(|i| self.slots[i].alive && self.slots[i].outstanding.is_some());
                 if !busy_alive {
-                    return Err(corrupt("no live workers remain in the fleet").into());
+                    return Err(RunError::WorkersLost { epoch });
                 }
             }
             match self.rx.recv_timeout(Duration::from_millis(50)) {
@@ -784,7 +781,7 @@ impl Members for Coordinator<'_> {
 /// # Errors
 /// Invalid line-ups and budgets, checkpoint I/O and corrupt resume
 /// snapshots (exactly as in the in-process fleet), plus
-/// persist-wrapped failures when an epoch's entire worker set dies
+/// [`RunError::WorkersLost`] when an epoch's entire worker set dies
 /// with respawns exhausted (after a final snapshot of the last epoch
 /// close, when checkpointing is on).
 pub fn run_fleet_dist(

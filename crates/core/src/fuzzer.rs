@@ -463,15 +463,15 @@ impl HflFuzzer {
     ) {
         let hidden = self.generator.advance(&mut self.session);
         // Every candidate is drawn from the same hidden vector, so the
-        // heads run once per step, not once per candidate.
-        let logits = self.generator.head_logits(&hidden);
+        // heads and their distributions are built once per step, not once
+        // per candidate.
+        let dists = self.generator.head_dists(&hidden, None);
         let k = self.cfg.screen_candidates.max(1);
         let screening_ready = k > 1 && self.coverage_predictor.is_some() && self.stats.cases >= 32;
         if !screening_ready {
-            let (corrected, action) = self.generator.sample_from_logits(
-                &logits,
+            let (corrected, action) = self.generator.sample_from_dists(
+                &dists,
                 self.cfg.exploration_epsilon,
-                None,
                 &mut self.rng,
             );
             self.generator.commit(&mut self.session, &corrected);
@@ -487,10 +487,9 @@ impl HflFuzzer {
         // dedup below.
         let mut candidates = Vec::with_capacity(k);
         for _ in 0..k {
-            candidates.push(self.generator.sample_from_logits(
-                &logits,
+            candidates.push(self.generator.sample_from_dists(
+                &dists,
                 self.cfg.exploration_epsilon,
-                None,
                 &mut self.rng,
             ));
         }

@@ -7,7 +7,7 @@
 //! temperature; PPO fine-tuning (Eq. 4) flows gradients through the active
 //! heads only, gated by the instruction mask (§IV-B).
 
-use hfl_nn::ops::{log_prob, sample_categorical, softmax_with_temperature};
+use hfl_nn::ops::{sample_categorical, softmax_log_norm};
 use hfl_nn::{Adam, Linear, Lstm, LstmState, Scratch, Tensor};
 use hfl_rl::ppo_logit_grad;
 use rand::Rng;
@@ -109,13 +109,22 @@ impl Head {
         logits.into_iter().zip(acts).collect()
     }
 
-    /// Backward pass; returns the gradient w.r.t. the LSTM hidden vector.
-    fn backward(&mut self, h: &[f32], act: &[f32], dlogits: &[f32]) -> Vec<f32> {
-        let mut da = self.l2.backward(act, dlogits);
-        for (d, a) in da.iter_mut().zip(act) {
+    /// Backward pass over `batch` steps, given flat, step-ordered LSTM
+    /// hidden vectors, hidden activations and logit gradients; returns the
+    /// flat gradients w.r.t. the hidden vectors. The weight gradients add
+    /// the steps' terms in step order ([`Linear::backward_batch`]).
+    fn backward_batch(
+        &mut self,
+        hs: &[f32],
+        acts: &[f32],
+        dlogits: &[f32],
+        batch: usize,
+    ) -> Vec<f32> {
+        let mut da = self.l2.backward_batch(acts, dlogits, batch);
+        for (d, a) in da.iter_mut().zip(acts) {
             *d *= 1.0 - a * a;
         }
-        self.l1.backward(h, &da)
+        self.l1.backward_batch(hs, &da, batch)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
@@ -123,6 +132,17 @@ impl Head {
         v.extend(self.l2.params_mut());
         v
     }
+}
+
+/// One head's steps that carry PPO gradient, gathered in step order for
+/// its batched backward: the LSTM hidden vectors, the head's hidden
+/// activations and the logit gradients, each flat.
+#[derive(Debug, Clone, Default)]
+struct HeadGrads {
+    steps: Vec<usize>,
+    hs: Vec<f32>,
+    acts: Vec<f32>,
+    dlogits: Vec<f32>,
 }
 
 /// A sampled action: the raw head outputs plus their log-probabilities
@@ -133,6 +153,24 @@ pub struct SampledAction {
     pub outputs: HeadOutputs,
     /// Per-head log-probabilities at sampling time.
     pub log_probs: [f32; 7],
+}
+
+/// One head's sampling distribution: the tempered logits, their softmax
+/// and its log-normaliser.
+#[derive(Debug, Clone)]
+struct HeadDist {
+    scaled: Vec<f32>,
+    probs: Vec<f32>,
+    log_norm: f32,
+}
+
+/// The seven heads' sampling distributions over one hidden vector, built
+/// once per generated instruction by
+/// [`InstructionGenerator::head_dists`] and shared by every candidate
+/// drawn from it ([`InstructionGenerator::sample_from_dists`]).
+#[derive(Debug, Clone)]
+pub struct HeadDists {
+    heads: Vec<HeadDist>,
 }
 
 /// One step of an episode, as recorded by the fuzzing loop for the PPO
@@ -279,7 +317,7 @@ impl InstructionGenerator {
         epsilon: f32,
         rng: &mut R,
     ) -> (Corrected, SampledAction) {
-        self.sample_from_logits(&self.head_logits(hidden), epsilon, None, rng)
+        self.sample_from_dists(&self.head_dists(hidden, None), epsilon, rng)
     }
 
     /// Samples like [`sample_with_exploration`](Self::sample_with_exploration)
@@ -297,51 +335,58 @@ impl InstructionGenerator {
         opcode_bias: Option<&[f32]>,
         rng: &mut R,
     ) -> (Corrected, SampledAction) {
-        self.sample_from_logits(&self.head_logits(hidden), epsilon, opcode_bias, rng)
+        self.sample_from_dists(&self.head_dists(hidden, opcode_bias), epsilon, rng)
     }
 
-    /// The seven heads' logits over a hidden vector, in head order. The
-    /// heads are a pure function of `hidden`, so candidates sampled from
-    /// one hidden vector share a single evaluation.
-    #[must_use]
-    pub fn head_logits(&self, hidden: &[f32]) -> Vec<Vec<f32>> {
-        self.heads
-            .iter()
-            .map(|head| head.forward(hidden).0)
-            .collect()
-    }
-
-    /// Samples one action from precomputed [`head_logits`](Self::head_logits),
-    /// with the per-head ε-exploration floor of
-    /// [`sample_with_exploration`](Self::sample_with_exploration) and an
-    /// optional additive opcode bias (see
+    /// The seven heads' sampling distributions over a hidden vector, with
+    /// an optional additive opcode bias (see
     /// [`sample_with_scenario_bias`](Self::sample_with_scenario_bias)).
-    pub fn sample_from_logits<R: Rng>(
+    /// The heads, their softmax and its log-normaliser are a pure function
+    /// of `hidden`, so candidates sampled from one hidden vector share a
+    /// single evaluation, one pass of exponentials per head.
+    ///
+    /// # Panics
+    /// Panics if the configured temperature is not strictly positive.
+    #[must_use]
+    pub fn head_dists(&self, hidden: &[f32], opcode_bias: Option<&[f32]>) -> HeadDists {
+        let temperature = self.cfg.temperature;
+        assert!(temperature > 0.0, "temperature must be positive");
+        let heads = self
+            .heads
+            .iter()
+            .enumerate()
+            .map(|(k, head)| {
+                let mut logits = head.forward(hidden).0;
+                if let (0, Some(bias)) = (k, opcode_bias) {
+                    for (l, b) in logits.iter_mut().zip(bias) {
+                        *l += b;
+                    }
+                }
+                let scaled: Vec<f32> = logits.iter().map(|&l| l / temperature).collect();
+                let (probs, log_norm) = softmax_log_norm(&scaled);
+                HeadDist {
+                    scaled,
+                    probs,
+                    log_norm,
+                }
+            })
+            .collect();
+        HeadDists { heads }
+    }
+
+    /// Samples one action from precomputed [`head_dists`](Self::head_dists),
+    /// with the per-head ε-exploration floor of
+    /// [`sample_with_exploration`](Self::sample_with_exploration).
+    pub fn sample_from_dists<R: Rng>(
         &self,
-        logits: &[Vec<f32>],
+        dists: &HeadDists,
         epsilon: f32,
-        opcode_bias: Option<&[f32]>,
         rng: &mut R,
     ) -> (Corrected, SampledAction) {
         let sizes = head_sizes();
         let mut indices = [0usize; 7];
         let mut log_probs = [0f32; 7];
-        let mut biased = Vec::new();
-        for (k, head_logits) in logits.iter().enumerate() {
-            let head_logits = match opcode_bias {
-                Some(bias) if k == 0 => {
-                    biased.clone_from(head_logits);
-                    for (l, b) in biased.iter_mut().zip(bias) {
-                        *l += b;
-                    }
-                    &biased
-                }
-                _ => head_logits,
-            };
-            let scaled: Vec<f32> = head_logits
-                .iter()
-                .map(|&l| l / self.cfg.temperature)
-                .collect();
+        for (k, dist) in dists.heads.iter().enumerate() {
             // The opcode head has by far the largest vocabulary and is the
             // head the exploitation curse empties first (§IV-B's example:
             // `sub` crowds out `fcvt.d.lu`), so its floor is stronger.
@@ -353,11 +398,10 @@ impl InstructionGenerator {
             let idx = if head_eps > 0.0 && rng.gen::<f32>() < head_eps {
                 rng.gen_range(0..sizes[k])
             } else {
-                let probs = softmax_with_temperature(head_logits, self.cfg.temperature);
-                sample_categorical(&probs, rng)
+                sample_categorical(&dist.probs, rng)
             };
             indices[k] = idx;
-            log_probs[k] = log_prob(&scaled, idx);
+            log_probs[k] = dist.scaled[idx] - dist.log_norm;
         }
         let outputs = HeadOutputs { indices };
         let corrected = correct(&outputs);
@@ -399,41 +443,31 @@ impl InstructionGenerator {
         let tokens: Vec<Tokens> = steps.iter().map(|s| s.input).collect();
         let inputs = self.encoder.encode_batch(&tokens);
         let trace = self.lstm.forward_seq(&inputs);
-        // Batched re-evaluation: each head's forward over its masked
-        // timesteps runs as one fused GEMM pass up front; the update loop
-        // below then consumes the cached activations in the exact
-        // (timestep-outer, head-inner) order the sequential path computed
-        // them, so stat accumulation and gradients stay bit-identical.
-        let mut head_evals: Vec<Vec<Option<HeadEval>>> =
-            self.heads.iter().map(|_| vec![None; steps.len()]).collect();
-        for (k, head) in self.heads.iter().enumerate() {
-            let ts: Vec<usize> = steps
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.mask[k])
-                .map(|(t, _)| t)
-                .collect();
-            if ts.is_empty() {
-                continue;
-            }
-            let hs: Vec<&[f32]> = ts.iter().map(|&t| trace.outputs[t].as_slice()).collect();
-            let evals = head.forward_batch(&hs, &mut self.scratch);
-            for (t, eval) in ts.into_iter().zip(evals) {
-                head_evals[k][t] = Some(eval);
-            }
-        }
-        let mut d_out: Vec<Vec<f32>> = trace.outputs.iter().map(|h| vec![0.0; h.len()]).collect();
+        // Each head's forward over its masked timesteps runs as one fused
+        // GEMM pass up front; the loop below then scores them in the
+        // (timestep-outer, head-inner) order of a sequential update, so
+        // the statistics add up in that order.
+        let mut evals: Vec<_> = self
+            .heads
+            .iter()
+            .enumerate()
+            .map(|(k, head)| {
+                let hs: Vec<&[f32]> = (0..steps.len())
+                    .filter(|&t| steps[t].mask[k])
+                    .map(|t| trace.outputs[t].as_slice())
+                    .collect();
+                head.forward_batch(&hs, &mut self.scratch).into_iter()
+            })
+            .collect();
+        // Per head, the steps that carry gradient, in step order.
+        let mut grads = vec![HeadGrads::default(); self.heads.len()];
         let mut ratio_sum = 0.0f32;
         let mut kl_sum = 0.0f32;
         let mut clipped = 0usize;
         let mut updated = 0usize;
         for (t, step) in steps.iter().enumerate() {
-            let h = &trace.outputs[t];
-            for (k, head) in self.heads.iter_mut().enumerate() {
-                if !step.mask[k] {
-                    continue;
-                }
-                let (logits, act) = head_evals[k][t].take().expect("mask matched above");
+            for k in (0..self.heads.len()).filter(|&k| step.mask[k]) {
+                let (logits, act) = evals[k].next().expect("one evaluation per masked step");
                 let scaled: Vec<f32> = logits.iter().map(|&l| l / self.cfg.temperature).collect();
                 let (ratio, mut dscaled) = ppo_logit_grad(
                     &scaled,
@@ -452,8 +486,21 @@ impl InstructionGenerator {
                 for d in &mut dscaled {
                     *d /= self.cfg.temperature;
                 }
-                let dh = head.backward(h, &act, &dscaled);
-                for (a, b) in d_out[t].iter_mut().zip(&dh) {
+                let g = &mut grads[k];
+                g.steps.push(t);
+                g.hs.extend_from_slice(&trace.outputs[t]);
+                g.acts.extend(act);
+                g.dlogits.extend(dscaled);
+            }
+        }
+        // Each head's backward over its active steps, batched; the heads
+        // add into each step's gradient in head order, as a sequential
+        // update does.
+        let mut d_out: Vec<Vec<f32>> = trace.outputs.iter().map(|h| vec![0.0; h.len()]).collect();
+        for (head, g) in self.heads.iter_mut().zip(&grads) {
+            let dhs = head.backward_batch(&g.hs, &g.acts, &g.dlogits, g.steps.len());
+            for (&t, dh) in g.steps.iter().zip(dhs.chunks_exact(self.cfg.hidden.max(1))) {
+                for (a, b) in d_out[t].iter_mut().zip(dh) {
                     *a += b;
                 }
             }
@@ -627,6 +674,95 @@ mod tests {
             let (cb, ab) = g.sample_with_scenario_bias(&h, 0.1, None, &mut rng_b);
             assert_eq!(ca.instruction, cb.instruction);
             assert_eq!(aa, ab);
+        }
+    }
+
+    /// The per-candidate sampling loop that `head_dists` +
+    /// `sample_from_dists` replaced: every candidate re-tempers the logits,
+    /// runs a softmax unless it explores and a log-probability pass.
+    fn sample_from_logits(
+        g: &InstructionGenerator,
+        logits: &[Vec<f32>],
+        epsilon: f32,
+        opcode_bias: Option<&[f32]>,
+        rng: &mut StdRng,
+    ) -> SampledAction {
+        let sizes = head_sizes();
+        let mut indices = [0usize; 7];
+        let mut log_probs = [0f32; 7];
+        let mut biased = Vec::new();
+        for (k, head_logits) in logits.iter().enumerate() {
+            let head_logits = match opcode_bias {
+                Some(bias) if k == 0 => {
+                    biased.clone_from(head_logits);
+                    for (l, b) in biased.iter_mut().zip(bias) {
+                        *l += b;
+                    }
+                    &biased
+                }
+                _ => head_logits,
+            };
+            let scaled: Vec<f32> = head_logits.iter().map(|&l| l / g.cfg.temperature).collect();
+            let head_eps = if k == 0 {
+                (3.0 * epsilon).min(0.25)
+            } else {
+                epsilon
+            };
+            let idx = if head_eps > 0.0 && rng.gen::<f32>() < head_eps {
+                rng.gen_range(0..sizes[k])
+            } else {
+                let probs = hfl_nn::ops::softmax_with_temperature(head_logits, g.cfg.temperature);
+                hfl_nn::ops::sample_categorical(&probs, rng)
+            };
+            indices[k] = idx;
+            log_probs[k] = hfl_nn::ops::log_prob(&scaled, idx);
+        }
+        SampledAction {
+            outputs: HeadOutputs { indices },
+            log_probs,
+        }
+    }
+
+    #[test]
+    fn shared_head_dists_draw_what_per_candidate_sampling_drew() {
+        let (mut g, _) = small_gen(41);
+        let mut bias = vec![0.0f32; head_sizes()[0]];
+        bias[5] = 2.5;
+        bias[9] = -1.0;
+        for temperature in [1.0, 0.7] {
+            g.cfg.temperature = temperature;
+            let mut session = g.start_session();
+            for (step, (epsilon, opcode_bias)) in
+                [(0.0, None), (0.02, None), (0.2, Some(&bias[..]))]
+                    .into_iter()
+                    .cycle()
+                    .take(12)
+                    .enumerate()
+            {
+                let hidden = g.advance(&mut session);
+                let logits: Vec<Vec<f32>> =
+                    g.heads.iter().map(|head| head.forward(&hidden).0).collect();
+                let dists = g.head_dists(&hidden, opcode_bias);
+                let mut rng_a = StdRng::seed_from_u64(step as u64);
+                let mut rng_b = StdRng::seed_from_u64(step as u64);
+                // Screening's k candidates share one set of distributions.
+                for candidate in 0..4 {
+                    let (corrected, action) = g.sample_from_dists(&dists, epsilon, &mut rng_a);
+                    let want = sample_from_logits(&g, &logits, epsilon, opcode_bias, &mut rng_b);
+                    assert_eq!(
+                        action.outputs, want.outputs,
+                        "step {step} candidate {candidate}"
+                    );
+                    let bits = |a: &SampledAction| a.log_probs.map(f32::to_bits);
+                    assert_eq!(
+                        bits(&action),
+                        bits(&want),
+                        "step {step} candidate {candidate}"
+                    );
+                    g.commit(&mut session, &corrected);
+                }
+                assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "same RNG stream");
+            }
         }
     }
 

@@ -2,6 +2,64 @@
 
 use crate::tensor::Tensor;
 
+/// Tensors whose serial gradient sums advance in lockstep in
+/// [`global_norm_sq`].
+const NORM_LANES: usize = 4;
+
+/// The squared global gradient norm: every tensor's serial sum
+/// `Σ g²` ([`Tensor::grad_norm_sq`]), added up in parameter order, bit
+/// for bit.
+///
+/// One tensor's sum is a single chain of dependent adds, so summing the
+/// tensors one after another leaves the adder idle between them. Here
+/// four tensors' chains advance in lockstep instead, each in its own
+/// order from the same start as `Iterator::sum`; a lane whose tensor ends
+/// takes the next unstarted one.
+#[must_use]
+pub fn global_norm_sq(params: &[&mut Tensor]) -> f32 {
+    let mut sums = vec![0.0f32; params.len()];
+    let mut next = 0;
+    // Each busy lane: (tensor index, the gradient it has left, its sum).
+    let mut lanes: [Option<(usize, &[f32], f32)>; NORM_LANES] = [None; NORM_LANES];
+    loop {
+        for lane in &mut lanes {
+            while lane.is_none() && next < params.len() {
+                // `Iterator::sum` over f32 starts from -0.0.
+                *lane = Some((next, &params[next].grad, -0.0));
+                next += 1;
+                if let Some((tensor, [], sum)) = *lane {
+                    sums[tensor] = sum;
+                    *lane = None;
+                }
+            }
+        }
+        let Some(steps) = lanes.iter().flatten().map(|(_, g, _)| g.len()).min() else {
+            break;
+        };
+        // An idle lane re-reads a busy lane's gradient; its sum is dropped.
+        let busy = lanes.iter().flatten().next().map_or(&[][..], |(_, g, _)| g);
+        let grads: [&[f32]; NORM_LANES] =
+            std::array::from_fn(|l| &lanes[l].map_or(busy, |(_, g, _)| g)[..steps]);
+        let mut acc: [f32; NORM_LANES] = std::array::from_fn(|l| lanes[l].map_or(0.0, |(.., s)| s));
+        for i in 0..steps {
+            for (a, g) in acc.iter_mut().zip(&grads) {
+                *a += g[i] * g[i];
+            }
+        }
+        for (lane, a) in lanes.iter_mut().zip(acc) {
+            if let Some((tensor, grad, sum)) = lane {
+                *sum = a;
+                *grad = &grad[steps..];
+                if grad.is_empty() {
+                    sums[*tensor] = a;
+                    *lane = None;
+                }
+            }
+        }
+    }
+    sums.into_iter().sum()
+}
+
 /// Adam optimiser state (β₁/β₂ schedules shared across all tensors).
 ///
 /// The paper trains both the instruction generator and the predictor with a
@@ -71,7 +129,7 @@ impl Adam {
         // Global-norm clipping across all tensors.
         let scale = match self.clip_norm {
             Some(max) => {
-                let norm: f32 = params.iter().map(|p| p.grad_norm_sq()).sum::<f32>().sqrt();
+                let norm = global_norm_sq(params).sqrt();
                 if norm > max && norm > 0.0 {
                     max / norm
                 } else {

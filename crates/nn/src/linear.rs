@@ -103,11 +103,38 @@ impl Linear {
     /// Panics on dimension mismatches.
     #[must_use]
     pub fn backward(&mut self, x: &[f32], dy: &[f32]) -> Vec<f32> {
-        self.w.grad_outer(dy, x);
-        for (g, d) in self.b.grad.iter_mut().zip(dy) {
-            *g += d;
+        self.backward_batch(x, dy, 1)
+    }
+
+    /// Batched [`Linear::backward`] over `batch` pairs of inputs and output
+    /// gradients, each a flat buffer with one chunk per pair: accumulates
+    /// the weight and bias gradients of the pairs in batch order, the
+    /// order `batch` separate `backward` calls would add them in, and
+    /// returns the input gradients as one flat buffer.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches.
+    #[must_use]
+    pub fn backward_batch(&mut self, xs_flat: &[f32], dys_flat: &[f32], batch: usize) -> Vec<f32> {
+        assert_eq!(
+            xs_flat.len(),
+            batch * self.in_dim(),
+            "backward_batch inputs"
+        );
+        assert_eq!(
+            dys_flat.len(),
+            batch * self.out_dim(),
+            "backward_batch gradients"
+        );
+        self.w.grad_outer_batch(dys_flat, xs_flat, 0..batch);
+        for dy in dys_flat.chunks_exact(self.out_dim().max(1)) {
+            for (g, d) in self.b.grad.iter_mut().zip(dy) {
+                *g += d;
+            }
         }
-        self.w.matvec_t(dy)
+        let mut dxs = Vec::new();
+        self.w.matvec_t_batch(dys_flat, batch, &mut dxs);
+        dxs
     }
 
     /// The layer's parameter tensors (for the optimiser).

@@ -3,6 +3,12 @@
 //! The paper's generator and predictor are both two-layer LSTMs with a
 //! hidden size of 256 (§V-A); this module provides the recurrent core they
 //! share. Gates are packed in `[input, forget, cell, output]` order.
+//!
+//! Every forward path (a streaming [`Lstm::step`], the screening
+//! [`LstmCell::forward_batch`] and the training [`Lstm::forward_seq`])
+//! runs the same gate kernel. A sequence runs layer by layer: one
+//! [`Tensor::matvec_batch`] projects every step's input, then the
+//! recurrent sweep adds `W_h·h_{t-1} + b` step by step.
 
 use rand::Rng;
 
@@ -22,18 +28,25 @@ pub struct LstmCell {
     hidden: usize,
 }
 
-/// Saved activations for one `(timestep, layer)` forward step.
-#[derive(Debug, Clone)]
-struct CellCache {
-    x: Vec<f32>,
-    h_prev: Vec<f32>,
-    c_prev: Vec<f32>,
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    /// `tanh(c)` of the new cell state, reused by BPTT.
-    tanh_c: Vec<f32>,
+/// The gate kernel of every forward path. On entry `z` holds a step's
+/// gate pre-activations and `c` the previous cell state; on exit `z`
+/// holds the activations `[i, f, g, o]`, `c` the new cell state,
+/// `tanh_c` its `tanh` and `h` the new hidden vector.
+fn gates(z: &mut [f32], c: &mut [f32], tanh_c: &mut [f32], h: &mut [f32]) {
+    let hidden = c.len();
+    let (zi, rest) = z.split_at_mut(hidden);
+    let (zf, rest) = rest.split_at_mut(hidden);
+    let (zg, zo) = rest.split_at_mut(hidden);
+    for k in 0..hidden {
+        let i = sigmoid(zi[k]);
+        let f = sigmoid(zf[k]);
+        let g = zg[k].tanh();
+        let o = sigmoid(zo[k]);
+        (zi[k], zf[k], zg[k], zo[k]) = (i, f, g, o);
+        c[k] = f * c[k] + i * g;
+        tanh_c[k] = c[k].tanh();
+        h[k] = o * tanh_c[k];
+    }
 }
 
 impl LstmCell {
@@ -71,47 +84,12 @@ impl LstmCell {
         ok.then_some(LstmCell { wx, wh, b, hidden })
     }
 
-    fn forward(
-        &self,
-        x: &[f32],
-        h_prev: &[f32],
-        c_prev: &[f32],
-    ) -> (Vec<f32>, Vec<f32>, CellCache) {
-        let h = self.hidden;
-        let mut z = self.wx.matvec(x);
-        let zh = self.wh.matvec(h_prev);
-        for ((zv, zhv), bv) in z.iter_mut().zip(&zh).zip(&self.b.data) {
+    /// Adds the recurrent term `zh + b` to the input projection in `z`,
+    /// where `zh` is `W_h·h_prev`.
+    fn add_recurrent(&self, z: &mut [f32], zh: &[f32]) {
+        for ((zv, zhv), bv) in z.iter_mut().zip(zh).zip(&self.b.data) {
             *zv += zhv + bv;
         }
-        let mut i = vec![0.0; h];
-        let mut f = vec![0.0; h];
-        let mut g = vec![0.0; h];
-        let mut o = vec![0.0; h];
-        for k in 0..h {
-            i[k] = sigmoid(z[k]);
-            f[k] = sigmoid(z[h + k]);
-            g[k] = z[2 * h + k].tanh();
-            o[k] = sigmoid(z[3 * h + k]);
-        }
-        let mut c = vec![0.0; h];
-        let mut tanh_c = vec![0.0; h];
-        let mut hout = vec![0.0; h];
-        for k in 0..h {
-            c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            tanh_c[k] = c[k].tanh();
-            hout[k] = o[k] * tanh_c[k];
-        }
-        let cache = CellCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            tanh_c,
-        };
-        (hout, c, cache)
     }
 
     /// Batched one-step forward of `batch` hypothetical continuations of a
@@ -122,8 +100,8 @@ impl LstmCell {
     /// non-linearities. Writes each continuation's hidden/cell vectors as
     /// consecutive chunks of `h_out`/`c_out` (cleared and resized).
     ///
-    /// Bit-identical to `batch` separate `LstmCell::forward` calls: every
-    /// output element accumulates in the same order.
+    /// Bit-identical to `batch` separate [`Lstm::step`]s of this layer:
+    /// every output element accumulates in the same order.
     ///
     /// # Panics
     /// Panics on input/state dimension mismatches.
@@ -147,10 +125,12 @@ impl LstmCell {
         self.wx.matvec_batch(xs_flat, batch, &mut z);
         // Shared recurrent contribution: the scalar path adds `zh + b` to
         // each gate pre-activation, so precombining them is exact.
-        let mut zhb = self.wh.matvec(h_prev);
+        let mut zhb = scratch.take_zeroed(4 * h);
+        self.wh.matvec_into(h_prev, &mut zhb);
         for (zhv, bv) in zhb.iter_mut().zip(&self.b.data) {
             *zhv += bv;
         }
+        let mut tanh_c = scratch.take_zeroed(h);
         h_out.clear();
         h_out.resize(batch * h, 0.0);
         c_out.clear();
@@ -163,50 +143,12 @@ impl LstmCell {
             for (zv, zhv) in zb.iter_mut().zip(&zhb) {
                 *zv += zhv;
             }
-            for k in 0..h {
-                let i = sigmoid(zb[k]);
-                let f = sigmoid(zb[h + k]);
-                let g = zb[2 * h + k].tanh();
-                let o = sigmoid(zb[3 * h + k]);
-                let c = f * c_prev[k] + i * g;
-                cb[k] = c;
-                hb[k] = o * c.tanh();
-            }
+            cb.copy_from_slice(c_prev);
+            gates(zb, cb, &mut tanh_c, hb);
         }
         scratch.give(z);
-    }
-
-    /// Backward through one step. Returns `(dx, dh_prev, dc_prev)`.
-    fn backward(
-        &mut self,
-        cache: &CellCache,
-        dh: &[f32],
-        dc_next: &[f32],
-    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let h = self.hidden;
-        let mut dz = vec![0.0f32; 4 * h];
-        let mut dc_prev = vec![0.0f32; h];
-        for k in 0..h {
-            let tc = cache.tanh_c[k];
-            let do_ = dh[k] * tc;
-            let dc = dc_next[k] + dh[k] * cache.o[k] * dtanh(tc);
-            let di = dc * cache.g[k];
-            let df = dc * cache.c_prev[k];
-            let dg = dc * cache.i[k];
-            dz[k] = di * dsigmoid(cache.i[k]);
-            dz[h + k] = df * dsigmoid(cache.f[k]);
-            dz[2 * h + k] = dg * dtanh(cache.g[k]);
-            dz[3 * h + k] = do_ * dsigmoid(cache.o[k]);
-            dc_prev[k] = dc * cache.f[k];
-        }
-        self.wx.grad_outer(&dz, &cache.x);
-        self.wh.grad_outer(&dz, &cache.h_prev);
-        for (gb, d) in self.b.grad.iter_mut().zip(&dz) {
-            *gb += d;
-        }
-        let dx = self.wx.matvec_t(&dz);
-        let dh_prev = self.wh.matvec_t(&dz);
-        (dx, dh_prev, dc_prev)
+        scratch.give(zhb);
+        scratch.give(tanh_c);
     }
 
     /// The cell's parameter tensors (for the optimiser).
@@ -224,13 +166,40 @@ pub struct LstmState {
     pub c: Vec<Vec<f32>>,
 }
 
+/// One layer's saved forward activations over a sequence of `T` steps,
+/// each buffer flat with one chunk per step.
+#[derive(Debug, Clone)]
+struct LayerTrace {
+    /// Gate activations `[i, f, g, o]`, `T x 4H`.
+    gates: Vec<f32>,
+    /// Cell states `c_t`, `T x H`.
+    cs: Vec<f32>,
+    /// `tanh(c_t)`, kept for BPTT, `T x H`.
+    tanh_cs: Vec<f32>,
+    /// Hidden outputs `h_t` (the next layer's inputs), `T x H`.
+    hs: Vec<f32>,
+}
+
 /// Saved forward activations for a whole sequence (consumed by
 /// [`Lstm::backward_seq`]).
 #[derive(Debug, Clone)]
 pub struct LstmTrace {
-    caches: Vec<Vec<CellCache>>, // [t][layer]
+    /// The bottom layer's inputs, `T x In`.
+    inputs: Vec<f32>,
+    layers: Vec<LayerTrace>,
     /// Top-layer hidden vector at each timestep.
     pub outputs: Vec<Vec<f32>>,
+}
+
+impl LstmTrace {
+    /// Layer `l`'s inputs: the sequence for the bottom layer, the hidden
+    /// outputs of layer `l - 1` above it.
+    fn layer_inputs(&self, l: usize) -> &[f32] {
+        match l.checked_sub(1) {
+            Some(below) => &self.layers[below].hs,
+            None => &self.inputs,
+        }
+    }
 }
 
 /// A stack of LSTM layers.
@@ -291,18 +260,33 @@ impl Lstm {
         }
     }
 
-    /// One streaming step: feeds `x`, updates `state`, returns the top
-    /// hidden vector. Used during generation, where no gradients flow.
+    /// One streaming step: feeds `x`, updates `state` in place, returns
+    /// the top hidden vector. Used during generation, where no gradients
+    /// flow, so nothing is kept for BPTT.
+    ///
+    /// # Panics
+    /// Panics if `x` does not match the bottom cell's input dimension or
+    /// `state` does not match the layers.
     #[must_use]
     pub fn step(&self, x: &[f32], state: &mut LstmState) -> Vec<f32> {
-        let mut input = x.to_vec();
+        assert_eq!(x.len(), self.cells[0].wx.cols, "step input dimension");
+        let (mut z, mut zh, mut tanh_c) = (Vec::new(), Vec::new(), Vec::new());
         for (l, cell) in self.cells.iter().enumerate() {
-            let (h, c, _) = cell.forward(&input, &state.h[l], &state.c[l]);
-            state.h[l] = h.clone();
-            state.c[l] = c;
-            input = h;
+            let (below, here) = state.h.split_at_mut(l);
+            let input = below.last().map_or(x, Vec::as_slice);
+            assert!(
+                here[0].len() == cell.hidden && state.c[l].len() == cell.hidden,
+                "step state dimension"
+            );
+            z.resize(4 * cell.hidden, 0.0);
+            zh.resize(4 * cell.hidden, 0.0);
+            tanh_c.resize(cell.hidden, 0.0);
+            cell.wx.matvec_into(input, &mut z);
+            cell.wh.matvec_into(&here[0], &mut zh);
+            cell.add_recurrent(&mut z, &zh);
+            gates(&mut z, &mut state.c[l], &mut tanh_c, &mut here[0]);
         }
-        input
+        state.h.last().expect("at least one layer").clone()
     }
 
     /// Batched streaming step: treats each `xs[b]` as a hypothetical
@@ -356,56 +340,160 @@ impl Lstm {
     }
 
     /// Forward over a whole sequence, saving activations for BPTT.
+    ///
+    /// The layers run one after another. Each projects all of its inputs
+    /// with one [`Tensor::matvec_batch`], then sweeps the steps in order,
+    /// adding `W_h·h_{t-1} + b` and running the gate kernel. Every value
+    /// is computed by the same operations as in a step-by-step
+    /// [`Lstm::step`] over the sequence, so the outputs are bit-identical.
+    ///
+    /// # Panics
+    /// Panics if an input does not match the bottom cell's input
+    /// dimension.
     #[must_use]
     pub fn forward_seq(&self, xs: &[Vec<f32>]) -> LstmTrace {
-        let mut state = self.zero_state();
-        let mut caches = Vec::with_capacity(xs.len());
-        let mut outputs = Vec::with_capacity(xs.len());
-        for x in xs {
-            let mut input = x.clone();
-            let mut step_caches = Vec::with_capacity(self.cells.len());
-            for (l, cell) in self.cells.iter().enumerate() {
-                let (h, c, cache) = cell.forward(&input, &state.h[l], &state.c[l]);
-                state.h[l] = h.clone();
-                state.c[l] = c;
-                step_caches.push(cache);
-                input = h;
+        let steps = xs.len();
+        let in_dim = self.cells[0].wx.cols;
+        assert!(
+            xs.iter().all(|x| x.len() == in_dim),
+            "forward_seq input dimension"
+        );
+        let mut trace = LstmTrace {
+            inputs: xs.concat(),
+            layers: Vec::with_capacity(self.cells.len()),
+            outputs: Vec::new(),
+        };
+        let mut zh = Vec::new();
+        for (l, cell) in self.cells.iter().enumerate() {
+            let h = cell.hidden;
+            let mut z = Vec::new();
+            cell.wx.matvec_batch(trace.layer_inputs(l), steps, &mut z);
+            zh.resize(4 * h, 0.0);
+            let wh_columns = cell.wh.columns();
+            let mut cs = vec![0.0f32; steps * h];
+            let mut tanh_cs = vec![0.0f32; steps * h];
+            let mut hs = vec![0.0f32; steps * h];
+            let zeros = vec![0.0f32; h];
+            for t in 0..steps {
+                let zt = &mut z[t * 4 * h..][..4 * h];
+                let h_prev = if t == 0 {
+                    &zeros
+                } else {
+                    &hs[(t - 1) * h..][..h]
+                };
+                cell.wh.matvec_columns(&wh_columns, h_prev, &mut zh);
+                cell.add_recurrent(zt, &zh);
+                if t > 0 {
+                    cs.copy_within((t - 1) * h..t * h, t * h);
+                }
+                gates(
+                    zt,
+                    &mut cs[t * h..][..h],
+                    &mut tanh_cs[t * h..][..h],
+                    &mut hs[t * h..][..h],
+                );
             }
-            caches.push(step_caches);
-            outputs.push(input);
+            trace.layers.push(LayerTrace {
+                gates: z,
+                cs,
+                tanh_cs,
+                hs,
+            });
         }
-        LstmTrace { caches, outputs }
+        let (top, h) = (&trace.layers[self.cells.len() - 1].hs, self.hidden());
+        trace.outputs = (0..steps).map(|t| top[t * h..][..h].to_vec()).collect();
+        trace
     }
 
     /// Backward through time. `d_outputs[t]` is the loss gradient w.r.t.
     /// the top-layer hidden vector at step `t` (zero vectors for unused
     /// steps). Returns the gradient w.r.t. each input vector.
     ///
+    /// The layers run top down. Each sweeps the steps backwards through
+    /// the recurrence, carrying only `dh` and `dc`; then, per tensor and
+    /// element in descending-step order, it accumulates the `W_x`, `W_h`
+    /// and bias gradients and computes every step's input gradient with
+    /// one [`Tensor::matvec_t_batch`]. Each gradient adds the same terms
+    /// in the same order as a step-by-step BPTT, so the results are
+    /// bit-identical to it.
+    ///
     /// # Panics
-    /// Panics if `d_outputs.len()` differs from the trace length.
+    /// Panics if `d_outputs.len()` differs from the trace length or a
+    /// gradient does not match the hidden dimension.
     pub fn backward_seq(&mut self, trace: &LstmTrace, d_outputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        assert_eq!(d_outputs.len(), trace.caches.len(), "gradient/trace length");
-        let layers = self.cells.len();
-        let mut dh_next: Vec<Vec<f32>> = self.cells.iter().map(|c| vec![0.0; c.hidden()]).collect();
-        let mut dc_next: Vec<Vec<f32>> = self.cells.iter().map(|c| vec![0.0; c.hidden()]).collect();
-        let mut dxs = vec![Vec::new(); trace.caches.len()];
-        for t in (0..trace.caches.len()).rev() {
-            // Gradient flowing into the top layer's hidden output.
-            let mut dh_from_above = d_outputs[t].clone();
-            for l in (0..layers).rev() {
-                let mut dh = dh_from_above;
-                for (a, b) in dh.iter_mut().zip(&dh_next[l]) {
-                    *a += b;
+        let steps = trace.outputs.len();
+        assert_eq!(d_outputs.len(), steps, "gradient/trace length");
+        let top = self.hidden();
+        assert!(
+            d_outputs.iter().all(|d| d.len() == top),
+            "gradient dimension"
+        );
+        // The gradient flowing into the current layer's outputs.
+        let mut d_above = d_outputs.concat();
+        let mut dz = Vec::new();
+        let mut dh_prev = Vec::new();
+        for l in (0..self.cells.len()).rev() {
+            let cell = &mut self.cells[l];
+            let layer = &trace.layers[l];
+            let h = cell.hidden;
+            dz.clear();
+            dz.resize(steps * 4 * h, 0.0);
+            let mut dh_next = vec![0.0f32; h];
+            let mut dc_next = vec![0.0f32; h];
+            dh_prev.resize(h, 0.0);
+            let zeros = vec![0.0f32; h];
+            for t in (0..steps).rev() {
+                let acts = &layer.gates[t * 4 * h..][..4 * h];
+                let (i, f, g, o) = (
+                    &acts[..h],
+                    &acts[h..2 * h],
+                    &acts[2 * h..3 * h],
+                    &acts[3 * h..],
+                );
+                let c_prev = if t == 0 {
+                    &zeros
+                } else {
+                    &layer.cs[(t - 1) * h..][..h]
+                };
+                let tanh_c = &layer.tanh_cs[t * h..][..h];
+                let d_out = &d_above[t * h..][..h];
+                let dzt = &mut dz[t * 4 * h..][..4 * h];
+                for k in 0..h {
+                    let dh = d_out[k] + dh_next[k];
+                    let tc = tanh_c[k];
+                    let do_ = dh * tc;
+                    let dc = dc_next[k] + dh * o[k] * dtanh(tc);
+                    let di = dc * g[k];
+                    let df = dc * c_prev[k];
+                    let dg = dc * i[k];
+                    dzt[k] = di * dsigmoid(i[k]);
+                    dzt[h + k] = df * dsigmoid(f[k]);
+                    dzt[2 * h + k] = dg * dtanh(g[k]);
+                    dzt[3 * h + k] = do_ * dsigmoid(o[k]);
+                    dc_next[k] = dc * f[k];
                 }
-                let (dx, dh_prev, dc_prev) =
-                    self.cells[l].backward(&trace.caches[t][l], &dh, &dc_next[l]);
-                dh_next[l] = dh_prev;
-                dc_next[l] = dc_prev;
-                dh_from_above = dx;
+                if t > 0 {
+                    cell.wh.matvec_t_into(dzt, &mut dh_prev);
+                    std::mem::swap(&mut dh_next, &mut dh_prev);
+                }
             }
-            dxs[t] = dh_from_above;
+            // The step-by-step order: every gradient element adds its
+            // steps' terms from the last step to the first.
+            let h_prevs = [&zeros[..], &layer.hs[..steps.saturating_sub(1) * h]].concat();
+            cell.wx
+                .grad_outer_batch(&dz, trace.layer_inputs(l), (0..steps).rev());
+            cell.wh.grad_outer_batch(&dz, &h_prevs, (0..steps).rev());
+            for dzt in dz.chunks_exact(4 * h).rev() {
+                for (gb, d) in cell.b.grad.iter_mut().zip(dzt) {
+                    *gb += d;
+                }
+            }
+            cell.wx.matvec_t_batch(&dz, steps, &mut d_above);
         }
-        dxs
+        let in_dim = self.cells[0].wx.cols;
+        (0..steps)
+            .map(|t| d_above[t * in_dim..][..in_dim].to_vec())
+            .collect()
     }
 
     /// All parameter tensors (for the optimiser).

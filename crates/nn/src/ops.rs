@@ -22,6 +22,18 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
+/// [`softmax`] and the log-normaliser `ln Σ exp(l)` from one pass of
+/// exponentials: the probabilities equal `softmax(logits)` and
+/// `logits[a] - log_norm` equals `log_prob(logits, a)`, bit for bit.
+#[must_use]
+pub fn softmax_log_norm(logits: &[f32]) -> (Vec<f32>, f32) {
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
+    let sum: f32 = exps.iter().sum();
+    let log_norm = sum.ln() + max;
+    (exps.into_iter().map(|e| e / sum).collect(), log_norm)
+}
+
 /// Softmax with a temperature; higher temperatures flatten the
 /// distribution (exploration), lower ones sharpen it (exploitation).
 ///

@@ -5,6 +5,52 @@ use rand::Rng;
 /// Rows per register block of the matrix-vector kernel.
 const BLOCK_ROWS: usize = 8;
 
+/// Inputs per tile of the batched matrix-vector kernel: its lanes.
+const LANES: usize = 8;
+
+/// Columns the transposed kernels ([`Tensor::matvec_t`],
+/// [`Tensor::grad_outer`]) hold in registers across their terms.
+const CHUNK: usize = 32;
+
+/// Adds `Σ mul(y, x)` over the `terms` whose `y` is not zero into `acc`:
+/// each element adds its product with every such term in turn, in the
+/// terms' order, as one `acc += y · x` pass per term would. The columns
+/// go [`CHUNK`] at a time, each chunk held in registers across all the
+/// terms. `mul` fixes the operand order of the product, so it matches the
+/// loop it replaces exactly.
+#[inline]
+fn axpy_terms<'a>(
+    acc: &mut [f32],
+    terms: impl Iterator<Item = (f32, &'a [f32])> + Clone,
+    mul: impl Fn(f32, f32) -> f32,
+) {
+    let done = acc.len() / CHUNK * CHUNK;
+    let (chunks, tail) = acc.as_chunks_mut::<CHUNK>();
+    for (i, chunk) in chunks.iter_mut().enumerate() {
+        let mut a = *chunk;
+        for (y, x) in terms.clone() {
+            if y == 0.0 {
+                continue;
+            }
+            let (x, _) = x[i * CHUNK..]
+                .split_first_chunk::<CHUNK>()
+                .expect("term length");
+            for (a, &xv) in a.iter_mut().zip(x) {
+                *a += mul(y, xv);
+            }
+        }
+        *chunk = a;
+    }
+    for (y, x) in terms {
+        if y == 0.0 {
+            continue;
+        }
+        for (a, &xv) in tail.iter_mut().zip(&x[done..]) {
+            *a += mul(y, xv);
+        }
+    }
+}
+
 /// A dense row-major f32 matrix carrying its gradient accumulator and Adam
 /// optimiser moments.
 ///
@@ -143,7 +189,7 @@ impl Tensor {
     /// chains instead of one serial one. Every accumulator still starts at
     /// `0.0` and adds its products in ascending column order, which keeps
     /// each output bit-identical to the plain serial dot product.
-    fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
+    pub(crate) fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         let cols = self.cols;
         debug_assert_eq!(x.len(), cols);
         debug_assert_eq!(y.len(), self.rows);
@@ -177,6 +223,42 @@ impl Tensor {
         }
     }
 
+    /// The weights in column-major order (column `c` is the `c`-th
+    /// `rows`-length chunk), for a run of [`Tensor::matvec_columns`] calls
+    /// with one matrix. A copy for the caller to hold, not a cache.
+    pub(crate) fn columns(&self) -> Vec<f32> {
+        let (rows, cols) = (self.rows, self.cols);
+        let mut columns = vec![0.0f32; rows * cols];
+        // Bands of LANES rows: each column's slice of a band is one short
+        // contiguous write, and the band's rows stay cached across columns.
+        for (band, block) in self.data.chunks(LANES * cols.max(1)).enumerate() {
+            let r0 = band * LANES;
+            for c in 0..cols {
+                for (dr, row) in block.chunks_exact(cols).enumerate() {
+                    columns[c * rows + r0 + dr] = row[c];
+                }
+            }
+        }
+        columns
+    }
+
+    /// [`Tensor::matvec`]'s `self * x`, written into `y` from the
+    /// column-major copy `columns` ([`Tensor::columns`]). The kernel's
+    /// lanes are rows: each column, times its `x` element, is added to
+    /// the whole of `y` at once. Every output starts at `0.0` and adds its
+    /// row's products in ascending column order, so the outputs are
+    /// bit-identical to `matvec`'s.
+    pub(crate) fn matvec_columns(&self, columns: &[f32], x: &[f32], y: &mut [f32]) {
+        debug_assert_eq!(columns.len(), self.rows * self.cols);
+        debug_assert_eq!(x.len(), self.cols);
+        y.fill(0.0);
+        for (column, &xc) in columns.chunks_exact(self.rows.max(1)).zip(x) {
+            for (a, &w) in y.iter_mut().zip(column) {
+                *a += w * xc;
+            }
+        }
+    }
+
     /// Transposed matrix-vector product `selfᵀ * y` (used for input
     /// gradients).
     ///
@@ -186,23 +268,31 @@ impl Tensor {
     pub fn matvec_t(&self, y: &[f32]) -> Vec<f32> {
         assert_eq!(y.len(), self.rows, "matvec_t dimension mismatch");
         let mut x = vec![0.0f32; self.cols];
-        for (r, &yr) in y.iter().enumerate() {
-            let row = self.row(r);
-            if yr == 0.0 {
-                continue;
-            }
-            for (xc, w) in x.iter_mut().zip(row) {
-                *xc += w * yr;
-            }
-        }
+        self.matvec_t_into(y, &mut x);
         x
+    }
+
+    /// Writes `selfᵀ * y` into `x`: each output starts at `0.0` and adds
+    /// the rows' terms in ascending row order, skipping rows whose `y` is
+    /// zero.
+    pub(crate) fn matvec_t_into(&self, y: &[f32], x: &mut [f32]) {
+        debug_assert_eq!(y.len(), self.rows);
+        debug_assert_eq!(x.len(), self.cols);
+        x.fill(0.0);
+        let terms = self.data.chunks_exact(self.cols.max(1)).zip(y);
+        axpy_terms(x, terms.map(|(row, &yr)| (yr, row)), |yr, w| w * yr);
     }
 
     /// Batched matrix-vector product: computes `self * x_b` for every
     /// `cols`-length chunk `x_b` of `xs_flat`, writing the results as
     /// consecutive `rows`-length chunks of `out` (cleared and resized).
-    /// Each input goes through the same kernel as [`Tensor::matvec`], so
-    /// the results are bit-identical to `batch` separate `matvec` calls.
+    ///
+    /// The kernel's lanes are the inputs, eight at a time and four for a
+    /// batch's last two to four; a last single input takes
+    /// [`Tensor::matvec`]'s row-blocked kernel. Every output starts at
+    /// `0.0` and adds its products in ascending column order whichever
+    /// kernel computes it, so the results are bit-identical to `batch`
+    /// separate `matvec` calls.
     ///
     /// # Panics
     /// Panics if `xs_flat.len() != batch * self.cols`.
@@ -215,12 +305,55 @@ impl Tensor {
         let (rows, cols) = (self.rows, self.cols);
         out.clear();
         out.resize(batch * rows, 0.0);
-        for b in 0..batch {
-            self.matvec_into(
-                &xs_flat[b * cols..(b + 1) * cols],
-                &mut out[b * rows..(b + 1) * rows],
-            );
+        if cols == 0 {
+            // Every output is the empty sum, 0.0.
+            return;
         }
+        let mut done = 0;
+        while done < batch {
+            let xs = &xs_flat[done * cols..];
+            let ys = &mut out[done * rows..];
+            done += match batch - done {
+                1 => {
+                    self.matvec_into(xs, ys);
+                    1
+                }
+                2..=4 => self.matvec_lanes::<{ LANES / 2 }>(xs, ys),
+                _ => self.matvec_lanes::<LANES>(xs, ys),
+            };
+        }
+    }
+
+    /// `self * x_b` for the first `min(L, n)` of the `n` inputs in `xs`,
+    /// written as `rows`-length chunks of `ys`; returns how many it took.
+    ///
+    /// The inputs are transposed into columns of `L` lanes, so each weight
+    /// multiplies a whole column and feeds `L` accumulators at once, one
+    /// per input, which the compiler keeps in vector registers. Each
+    /// accumulator starts at `0.0` and adds its products in ascending
+    /// column order, as the serial dot product does.
+    fn matvec_lanes<const L: usize>(&self, xs: &[f32], ys: &mut [f32]) -> usize {
+        let (rows, cols) = (self.rows, self.cols);
+        debug_assert!(cols > 0);
+        let lanes = L.min(xs.len() / cols);
+        let mut columns = vec![[0.0f32; L]; cols];
+        for (lane, x) in xs.chunks_exact(cols).take(lanes).enumerate() {
+            for (column, &v) in columns.iter_mut().zip(x) {
+                column[lane] = v;
+            }
+        }
+        for (r, row) in self.data.chunks_exact(cols).enumerate() {
+            let mut acc = [0.0f32; L];
+            for (&w, column) in row.iter().zip(&columns) {
+                for (a, &x) in acc.iter_mut().zip(column) {
+                    *a += w * x;
+                }
+            }
+            for (lane, &v) in acc[..lanes].iter().enumerate() {
+                ys[lane * rows + r] = v;
+            }
+        }
+        lanes
     }
 
     /// Accumulates the outer product `y xᵀ` into the gradient (the weight
@@ -231,14 +364,56 @@ impl Tensor {
     pub fn grad_outer(&mut self, y: &[f32], x: &[f32]) {
         assert_eq!(y.len(), self.rows);
         assert_eq!(x.len(), self.cols);
-        for (r, yr) in y.iter().enumerate() {
-            if *yr == 0.0 {
-                continue;
-            }
-            let grow = &mut self.grad[r * self.cols..(r + 1) * self.cols];
-            for (g, xv) in grow.iter_mut().zip(x) {
-                *g += yr * xv;
-            }
+        self.grad_outer_batch(y, x, std::iter::once(0));
+    }
+
+    /// Accumulates the outer products `y_b x_bᵀ` of a batch into the
+    /// gradient, where `y_b` and `x_b` are the `b`-th `rows`- and
+    /// `cols`-length chunks of `ys_flat` and `xs_flat`. Every gradient
+    /// element adds its terms in the order `order` yields the batch
+    /// indices, skipping a term whose `y_b` element is zero, exactly as one
+    /// [`Tensor::grad_outer`] call per index in that order would. The
+    /// batch is walked row by row, each gradient row held in registers
+    /// across the batch.
+    ///
+    /// # Panics
+    /// Panics if an index is past the end of either batch.
+    pub fn grad_outer_batch(
+        &mut self,
+        ys_flat: &[f32],
+        xs_flat: &[f32],
+        order: impl Iterator<Item = usize> + Clone,
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        for (r, grow) in self.grad.chunks_exact_mut(cols.max(1)).enumerate() {
+            let terms = order
+                .clone()
+                .map(|b| (ys_flat[b * rows + r], &xs_flat[b * cols..][..cols]));
+            axpy_terms(grow, terms, |yr, xv| yr * xv);
+        }
+    }
+
+    /// Batched [`Tensor::matvec_t`]: writes `selfᵀ * y_b` for every
+    /// `rows`-length chunk `y_b` of `ys_flat` as consecutive `cols`-length
+    /// chunks of `out` (cleared and resized), each exactly as `matvec_t`
+    /// computes it.
+    ///
+    /// # Panics
+    /// Panics if `ys_flat.len() != batch * self.rows`.
+    pub fn matvec_t_batch(&self, ys_flat: &[f32], batch: usize, out: &mut Vec<f32>) {
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(
+            ys_flat.len(),
+            batch * rows,
+            "matvec_t_batch dimension mismatch"
+        );
+        out.clear();
+        out.resize(batch * cols, 0.0);
+        for (y, x) in ys_flat
+            .chunks_exact(rows.max(1))
+            .zip(out.chunks_exact_mut(cols.max(1)))
+        {
+            self.matvec_t_into(y, x);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Proximal policy optimisation: advantage (Eq. 2), value loss (Eq. 3) and
 //! the clipped surrogate objective (Eq. 4).
 
-use hfl_nn::ops::{log_prob, softmax};
+use hfl_nn::ops::softmax_log_norm;
 
 /// PPO hyper-parameters, defaulting to the paper's §V-B values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +73,10 @@ pub fn approx_kl(ratio: f32) -> f32 {
 /// (the PPO trust-region behaviour that keeps the tuned generator near
 /// `π_old`, §IV-B).
 ///
+/// The log-probability and the softmax come from one pass of
+/// exponentials ([`softmax_log_norm`]), bit-identical to
+/// [`hfl_nn::ops::log_prob`] and [`hfl_nn::ops::softmax`].
+///
 /// Returns `(ratio, dlogits)`.
 #[must_use]
 pub fn ppo_logit_grad(
@@ -82,7 +86,8 @@ pub fn ppo_logit_grad(
     advantage: f32,
     epsilon: f32,
 ) -> (f32, Vec<f32>) {
-    let new_log_prob = log_prob(logits, action);
+    let (probs, log_norm) = softmax_log_norm(logits);
+    let new_log_prob = logits[action] - log_norm;
     let ratio = (new_log_prob - old_log_prob).exp();
     // min(r·Â, clip(r)·Â): the unclipped branch is active (and carries
     // gradient) unless clipping binds against the objective's growth.
@@ -95,7 +100,6 @@ pub fn ppo_logit_grad(
         return (ratio, vec![0.0; logits.len()]);
     }
     // d(-r·Â)/dlogit_j = -Â · r · (1[j==a] − p_j).
-    let probs = softmax(logits);
     let coef = -advantage * ratio;
     let dlogits = probs
         .iter()
@@ -222,6 +226,58 @@ mod tests {
                 dlogits[i]
             );
         }
+    }
+
+    /// The two-pass gradient `ppo_logit_grad` replaced: `log_prob` for the
+    /// ratio, then `softmax` for the gradient.
+    fn two_pass_logit_grad(
+        logits: &[f32],
+        action: usize,
+        old_log_prob: f32,
+        advantage: f32,
+        epsilon: f32,
+    ) -> (f32, Vec<f32>) {
+        let ratio = (hfl_nn::ops::log_prob(logits, action) - old_log_prob).exp();
+        let clipped_active = if advantage >= 0.0 {
+            ratio > 1.0 + epsilon
+        } else {
+            ratio < 1.0 - epsilon
+        };
+        if clipped_active {
+            return (ratio, vec![0.0; logits.len()]);
+        }
+        let probs = hfl_nn::ops::softmax(logits);
+        let coef = -advantage * ratio;
+        let dlogits = probs
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| coef * (f32::from(u8::from(j == action)) - p))
+            .collect();
+        (ratio, dlogits)
+    }
+
+    #[test]
+    fn one_pass_gradient_matches_log_prob_plus_softmax() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut clipped = 0;
+        for n in 0..400u32 {
+            let len = 2 + (n as usize * 7) % 90;
+            let logits: Vec<f32> = (0..len)
+                .map(|j| ((n * 31 + j as u32) as f32 * 0.37).sin() * (1.0 + (n % 9) as f32))
+                .collect();
+            let action = (n as usize * 13) % len;
+            // Old log-probabilities around the current one, so the ratio
+            // lands inside and outside the clip range on both sides.
+            let drift = ((n % 11) as f32 - 5.0) * 0.08;
+            let old = hfl_nn::ops::log_prob(&logits, action) + drift;
+            let advantage = if n % 2 == 0 { 0.7 } else { -1.3 };
+            let (ratio, grad) = ppo_logit_grad(&logits, action, old, advantage, 0.2);
+            let (want_ratio, want_grad) = two_pass_logit_grad(&logits, action, old, advantage, 0.2);
+            assert_eq!(ratio.to_bits(), want_ratio.to_bits(), "case {n}");
+            assert_eq!(bits(&grad), bits(&want_grad), "case {n}");
+            clipped += usize::from(grad.iter().all(|&d| d == 0.0));
+        }
+        assert!(clipped > 0 && clipped < 400, "both branches ran");
     }
 
     #[test]

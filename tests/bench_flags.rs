@@ -156,6 +156,31 @@ fn a_zero_report_stride_exits_2() {
 }
 
 #[test]
+fn a_zero_model_width_or_fig3_case_count_exits_2() {
+    let bins = [
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_fig3_predictor_accuracy"),
+        env!("CARGO_BIN_EXE_fig4_coverage_benchmark"),
+        env!("CARGO_BIN_EXE_tab_efficiency"),
+        env!("CARGO_BIN_EXE_tab_vulnerabilities"),
+    ];
+    let runs = bins
+        .iter()
+        .map(|&bin| (bin, "--hidden"))
+        .chain([(env!("CARGO_BIN_EXE_fig3_predictor_accuracy"), "--cases")]);
+    for (bin, flag) in runs {
+        let out = run(bin, &[flag, "0"]);
+        assert_eq!(out.status.code(), Some(2), "{bin} {flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag}: 0 is outside the bounds 1..")),
+            "{bin} {flag} 0: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} {flag} 0 ran");
+    }
+}
+
+#[test]
 fn an_unparsable_value_exits_2_naming_the_flag() {
     let out = tab_vulnerabilities(&["--fuzz-cases", "4x"]);
     assert_eq!(out.status.code(), Some(2));
@@ -215,6 +240,11 @@ fn a_rejected_run_leaves_an_earlier_log_untouched() {
             &["--fuzzer", "difuzz", "--cases", "8", "--threads", "0"][..],
         ),
         (fleet, "fleet-epochs", &["--epochs", "0"][..]),
+        (
+            fleet,
+            "fleet-budget",
+            &["--cases-per-epoch", "1", "--epochs", "1"][..],
+        ),
         (fleet, "fleet-batch", &["--batch", "0"][..]),
         (fleet, "fleet-threads", &["--threads", "0"][..]),
     ] {

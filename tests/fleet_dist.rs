@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hfl::baselines::{DifuzzRtlFuzzer, Feedback, Fuzzer, TestBody};
-use hfl::campaign::CheckpointPolicy;
+use hfl::campaign::{CheckpointPolicy, RunError};
 use hfl::exec::MAX_THREADS;
 use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetResult, FleetSpec};
 use hfl::fleet_dist::{run_fleet_dist, run_worker, DistConfig, ThreadLauncher, WorkerFault};
@@ -216,7 +216,13 @@ fn total_worker_loss_still_snapshots_the_last_epoch_close() {
             ..WorkerFault::default()
         },
     );
-    run_fleet_dist(&specs, &spec, &dist, &mut launcher).expect_err("every worker died");
+    let err = run_fleet_dist(&specs, &spec, &dist, &mut launcher).expect_err("every worker died");
+    assert!(
+        matches!(err, RunError::WorkersLost { epoch: 1 }),
+        "the granted worker's death is its own error: {err}"
+    );
+    assert!(!err.is_invalid_input(), "lost workers are the environment");
+    assert!(err.to_string().contains("no live workers"), "{err}");
     let mut partial = ring.events();
     let last_close = partial
         .iter()
