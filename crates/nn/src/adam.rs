@@ -7,8 +7,8 @@ use crate::tensor::Tensor;
 const NORM_LANES: usize = 4;
 
 /// The squared global gradient norm: every tensor's serial sum
-/// `Σ g²` ([`Tensor::grad_norm_sq`]), added up in parameter order, bit
-/// for bit.
+/// `Σ g²` (`grad.iter().map(|g| g * g).sum()`), added up in parameter
+/// order, bit for bit.
 ///
 /// One tensor's sum is a single chain of dependent adds, so summing the
 /// tensors one after another leaves the adder idle between them. Here

@@ -217,6 +217,6 @@ mod tests {
             assert!((a - 2.0 * b).abs() < 1e-6);
         }
         layer.w.zero_grad();
-        assert_eq!(layer.w.grad_norm_sq(), 0.0);
+        assert!(layer.w.grad.iter().all(|&g| g == 0.0));
     }
 }

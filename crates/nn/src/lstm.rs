@@ -266,10 +266,15 @@ impl Lstm {
     ///
     /// # Panics
     /// Panics if `x` does not match the bottom cell's input dimension or
-    /// `state` does not match the layers.
+    /// `state` does not hold one `h` and one `c` of each layer's hidden
+    /// size per layer.
     #[must_use]
     pub fn step(&self, x: &[f32], state: &mut LstmState) -> Vec<f32> {
         assert_eq!(x.len(), self.cells[0].wx.cols, "step input dimension");
+        assert!(
+            state.h.len() == self.cells.len() && state.c.len() == self.cells.len(),
+            "step state layers"
+        );
         let (mut z, mut zh, mut tanh_c) = (Vec::new(), Vec::new(), Vec::new());
         for (l, cell) in self.cells.iter().enumerate() {
             let (below, here) = state.h.split_at_mut(l);
@@ -369,7 +374,6 @@ impl Lstm {
             let mut z = Vec::new();
             cell.wx.matvec_batch(trace.layer_inputs(l), steps, &mut z);
             zh.resize(4 * h, 0.0);
-            let wh_columns = cell.wh.columns();
             let mut cs = vec![0.0f32; steps * h];
             let mut tanh_cs = vec![0.0f32; steps * h];
             let mut hs = vec![0.0f32; steps * h];
@@ -381,7 +385,7 @@ impl Lstm {
                 } else {
                     &hs[(t - 1) * h..][..h]
                 };
-                cell.wh.matvec_columns(&wh_columns, h_prev, &mut zh);
+                cell.wh.matvec_into(h_prev, &mut zh);
                 cell.add_recurrent(zt, &zh);
                 if t > 0 {
                     cs.copy_within((t - 1) * h..t * h, t * h);
@@ -555,6 +559,24 @@ mod tests {
             for (a, b) in h.iter().zip(&trace.outputs[t]) {
                 assert!((a - b).abs() < 1e-6, "t={t}");
             }
+        }
+    }
+
+    #[test]
+    fn step_rejects_a_state_of_another_layer_count() {
+        let lstm = Lstm::new(3, 4, 2, &mut StdRng::seed_from_u64(1));
+        let x = vec![0.1f32; 3];
+        for layers in [1, 3] {
+            let mut state = Lstm::new(3, 4, layers, &mut StdRng::seed_from_u64(1)).zero_state();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                lstm.step(&x, &mut state)
+            }))
+            .expect_err("a state of another layer count must not step");
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"step state layers"),
+                "{layers} layers"
+            );
         }
     }
 

@@ -8,8 +8,8 @@ const BLOCK_ROWS: usize = 8;
 /// Inputs per tile of the batched matrix-vector kernel: its lanes.
 const LANES: usize = 8;
 
-/// Columns the transposed kernels ([`Tensor::matvec_t`],
-/// [`Tensor::grad_outer`]) hold in registers across their terms.
+/// Columns the transposed kernels ([`Tensor::matvec_t_batch`],
+/// [`Tensor::grad_outer_batch`]) hold in registers across their terms.
 const CHUNK: usize = 32;
 
 /// Adds `Σ mul(y, x)` over the `terms` whose `y` is not zero into `acc`:
@@ -223,55 +223,6 @@ impl Tensor {
         }
     }
 
-    /// The weights in column-major order (column `c` is the `c`-th
-    /// `rows`-length chunk), for a run of [`Tensor::matvec_columns`] calls
-    /// with one matrix. A copy for the caller to hold, not a cache.
-    pub(crate) fn columns(&self) -> Vec<f32> {
-        let (rows, cols) = (self.rows, self.cols);
-        let mut columns = vec![0.0f32; rows * cols];
-        // Bands of LANES rows: each column's slice of a band is one short
-        // contiguous write, and the band's rows stay cached across columns.
-        for (band, block) in self.data.chunks(LANES * cols.max(1)).enumerate() {
-            let r0 = band * LANES;
-            for c in 0..cols {
-                for (dr, row) in block.chunks_exact(cols).enumerate() {
-                    columns[c * rows + r0 + dr] = row[c];
-                }
-            }
-        }
-        columns
-    }
-
-    /// [`Tensor::matvec`]'s `self * x`, written into `y` from the
-    /// column-major copy `columns` ([`Tensor::columns`]). The kernel's
-    /// lanes are rows: each column, times its `x` element, is added to
-    /// the whole of `y` at once. Every output starts at `0.0` and adds its
-    /// row's products in ascending column order, so the outputs are
-    /// bit-identical to `matvec`'s.
-    pub(crate) fn matvec_columns(&self, columns: &[f32], x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(columns.len(), self.rows * self.cols);
-        debug_assert_eq!(x.len(), self.cols);
-        y.fill(0.0);
-        for (column, &xc) in columns.chunks_exact(self.rows.max(1)).zip(x) {
-            for (a, &w) in y.iter_mut().zip(column) {
-                *a += w * xc;
-            }
-        }
-    }
-
-    /// Transposed matrix-vector product `selfᵀ * y` (used for input
-    /// gradients).
-    ///
-    /// # Panics
-    /// Panics if `y.len() != self.rows`.
-    #[must_use]
-    pub fn matvec_t(&self, y: &[f32]) -> Vec<f32> {
-        assert_eq!(y.len(), self.rows, "matvec_t dimension mismatch");
-        let mut x = vec![0.0f32; self.cols];
-        self.matvec_t_into(y, &mut x);
-        x
-    }
-
     /// Writes `selfᵀ * y` into `x`: each output starts at `0.0` and adds
     /// the rows' terms in ascending row order, skipping rows whose `y` is
     /// zero.
@@ -356,25 +307,13 @@ impl Tensor {
         lanes
     }
 
-    /// Accumulates the outer product `y xᵀ` into the gradient (the weight
-    /// gradient of `y = W x`).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn grad_outer(&mut self, y: &[f32], x: &[f32]) {
-        assert_eq!(y.len(), self.rows);
-        assert_eq!(x.len(), self.cols);
-        self.grad_outer_batch(y, x, std::iter::once(0));
-    }
-
     /// Accumulates the outer products `y_b x_bᵀ` of a batch into the
-    /// gradient, where `y_b` and `x_b` are the `b`-th `rows`- and
-    /// `cols`-length chunks of `ys_flat` and `xs_flat`. Every gradient
-    /// element adds its terms in the order `order` yields the batch
-    /// indices, skipping a term whose `y_b` element is zero, exactly as one
-    /// [`Tensor::grad_outer`] call per index in that order would. The
-    /// batch is walked row by row, each gradient row held in registers
-    /// across the batch.
+    /// gradient (the weight gradients of `y_b = W x_b`), where `y_b` and
+    /// `x_b` are the `b`-th `rows`- and `cols`-length chunks of `ys_flat`
+    /// and `xs_flat`. Every gradient element adds its terms `y_b[r] ·
+    /// x_b[c]` in the order `order` yields the batch indices, skipping a
+    /// term whose `y_b` element is zero. The batch is walked row by row,
+    /// each gradient row held in registers across the batch.
     ///
     /// # Panics
     /// Panics if an index is past the end of either batch.
@@ -393,10 +332,11 @@ impl Tensor {
         }
     }
 
-    /// Batched [`Tensor::matvec_t`]: writes `selfᵀ * y_b` for every
-    /// `rows`-length chunk `y_b` of `ys_flat` as consecutive `cols`-length
-    /// chunks of `out` (cleared and resized), each exactly as `matvec_t`
-    /// computes it.
+    /// Batched transposed product (input gradients): writes `selfᵀ * y_b`
+    /// for every `rows`-length chunk `y_b` of `ys_flat` as consecutive
+    /// `cols`-length chunks of `out` (cleared and resized). Each output
+    /// starts at `0.0` and adds the rows' terms in ascending row order,
+    /// skipping rows whose `y_b` element is zero.
     ///
     /// # Panics
     /// Panics if `ys_flat.len() != batch * self.rows`.
@@ -420,12 +360,6 @@ impl Tensor {
     /// Clears the gradient accumulator.
     pub fn zero_grad(&mut self) {
         self.grad.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    /// Squared L2 norm of the gradient.
-    #[must_use]
-    pub fn grad_norm_sq(&self) -> f32 {
-        self.grad.iter().map(|g| g * g).sum()
     }
 }
 
@@ -463,18 +397,19 @@ mod tests {
         // [[0,1,2],[3,4,5]] * [1,1,1] = [3,12]
         assert_eq!(t.matvec(&[1.0, 1.0, 1.0]), vec![3.0, 12.0]);
         // transpose: [[0,3],[1,4],[2,5]] * [1,2] = [6,9,12]
-        assert_eq!(t.matvec_t(&[1.0, 2.0]), vec![6.0, 9.0, 12.0]);
+        let mut xt = Vec::new();
+        t.matvec_t_batch(&[1.0, 2.0], 1, &mut xt);
+        assert_eq!(xt, vec![6.0, 9.0, 12.0]);
     }
 
     #[test]
     fn grad_outer_accumulates() {
         let mut t = Tensor::zeros(2, 2);
-        t.grad_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        t.grad_outer(&[1.0, 0.0], &[1.0, 1.0]);
+        t.grad_outer_batch(&[1.0, 2.0], &[3.0, 4.0], std::iter::once(0));
+        t.grad_outer_batch(&[1.0, 0.0], &[1.0, 1.0], std::iter::once(0));
         assert_eq!(t.grad, vec![4.0, 5.0, 6.0, 8.0]);
-        assert!(t.grad_norm_sq() > 0.0);
         t.zero_grad();
-        assert_eq!(t.grad_norm_sq(), 0.0);
+        assert!(t.grad.iter().all(|&g| g == 0.0));
     }
 
     #[test]
