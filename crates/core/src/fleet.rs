@@ -729,7 +729,7 @@ pub(crate) struct Slice {
 /// the fleet reports; a transport only runs epoch slices and keeps the
 /// members' fuzzers.
 pub(crate) trait Members {
-    /// Whether a failed [`Members::run_epoch`] leaves every member state
+    /// Whether a failed [`Members::wait`] leaves every member state
     /// at the last epoch close, so a final snapshot of it is still sound.
     const FAILED_EPOCH_KEEPS_BOUNDARY: bool;
 
@@ -745,12 +745,19 @@ pub(crate) trait Members {
         fuzzer_blobs: Option<Vec<Vec<u8>>>,
     ) -> Result<(), RunError>;
 
-    /// Runs epoch `epoch`, granting member `i` `budgets[i]` cases. Returns
-    /// one entry per member: the slice that folds into this epoch's close
-    /// (with `states[i]` advanced past it), or `None` if the member did
-    /// not report. After an error, `states` holds what
+    /// Sends epoch `epoch`'s work out, granting member `i` `budgets[i]`
+    /// cases, without waiting for it. Nothing a snapshot reads (the
+    /// driver's states, [`Members::fuzzer_blobs`]) changes before
+    /// [`Members::wait`], so the driver snapshots the last epoch close in
+    /// between, while the members run.
+    fn grant(&mut self, epoch: u64, budgets: &[u64]);
+
+    /// Waits for epoch `epoch` granted with `budgets`. Returns one entry
+    /// per member: the slice that folds into this epoch's close (with
+    /// `states[i]` advanced past it), or `None` if the member did not
+    /// report. After an error, `states` holds what
     /// [`Members::FAILED_EPOCH_KEEPS_BOUNDARY`] says.
-    fn run_epoch(
+    fn wait(
         &mut self,
         epoch: u64,
         budgets: &[u64],
@@ -825,7 +832,10 @@ impl Members for InProcess<'_> {
         Ok(())
     }
 
-    fn run_epoch(
+    // Slices run inline in `wait`, so the epoch's work starts there.
+    fn grant(&mut self, _epoch: u64, _budgets: &[u64]) {}
+
+    fn wait(
         &mut self,
         _epoch: u64,
         budgets: &[u64],
@@ -925,16 +935,19 @@ pub(crate) fn drive<M: Members>(
 
     let ran = run_epochs(members, idents, spec, &mut fleet);
     // Final (or graceful-shutdown) snapshot.
+    let sink = spec.sink();
     let snapshot = match spec.checkpoint() {
-        Some(policy) if ran.is_ok() || M::FAILED_EPOCH_KEEPS_BOUNDARY => members
-            .fuzzer_blobs()
-            .and_then(|blobs| write_fleet_checkpoint(policy, spec, idents, &fleet, &blobs)),
+        Some(policy) if ran.is_ok() || M::FAILED_EPOCH_KEEPS_BOUNDARY => {
+            sink.flush();
+            members
+                .fuzzer_blobs()
+                .and_then(|blobs| write_fleet_checkpoint(policy, spec, idents, &fleet, &blobs))
+        }
         _ => Ok(()),
     };
     ran?;
     snapshot?;
 
-    let sink = spec.sink();
     sink.flush();
     let sink_error = sink.take_error().map(|e| e.to_string());
     let member_results = idents
@@ -965,8 +978,9 @@ pub(crate) fn drive<M: Members>(
     })
 }
 
-/// The epoch loop: slices, fold, corpus sync, scheduling, merged sample
-/// and checkpoint cadence, until the budget runs out or a stop lands.
+/// The epoch loop: grants, the checkpoint cadence, slices, fold, corpus
+/// sync, scheduling and merged sample, until the budget runs out or a
+/// stop lands.
 fn run_epochs<M: Members>(
     members: &mut M,
     idents: &[MemberIdent],
@@ -975,11 +989,18 @@ fn run_epochs<M: Members>(
 ) -> Result<(), RunError> {
     let cfg = *spec.config();
     let sink = spec.sink();
+    // The policy of a snapshot of the last epoch close, when one is due.
+    let mut due: Option<&CheckpointPolicy> = None;
     while fleet.epoch < cfg.epochs {
         if spec.stop_requested() {
             break;
         }
         let epoch = fleet.epoch;
+        if due.is_some() {
+            // The log on disk reaches the snapshot's epoch close before
+            // the snapshot exists, so a resume never skips events.
+            sink.flush();
+        }
         if sink.enabled() {
             sink.emit(&Event::EpochStart {
                 epoch,
@@ -987,14 +1008,20 @@ fn run_epochs<M: Members>(
                 planned: fleet.budgets.iter().sum(),
             });
         }
+        members.grant(epoch, &fleet.budgets);
+        // The members now run this epoch; the snapshot of the last close
+        // is written meanwhile, since nothing it reads changes until
+        // their slices fold.
+        if let Some(policy) = due.take() {
+            write_fleet_checkpoint(policy, spec, idents, fleet, &members.fuzzer_blobs()?)?;
+        }
         let stats_before = fleet.corpus.stats();
         let covered_before: Vec<usize> = fleet
             .states
             .iter()
             .map(|state| state.cumulative.count())
             .collect();
-        let slices =
-            members.run_epoch(epoch, &fleet.budgets, &mut fleet.states, &mut fleet.metrics)?;
+        let slices = members.wait(epoch, &fleet.budgets, &mut fleet.states, &mut fleet.metrics)?;
 
         // Close the epoch: fold results in member index order, never in
         // arrival order, which keeps corpus insertion order (and thus the
@@ -1081,17 +1108,16 @@ fn run_epochs<M: Members>(
         }
         fleet.metrics.inc("fleet.epochs", 1);
         fleet.epoch += 1;
-        // Periodic (and operator-requested) checkpoints land on epoch
+        // Periodic (and operator-requested) checkpoints hold epoch
         // boundaries, where every member sits at a round boundary with
         // empty pending queues. The checkpoint-now request is claimed
-        // even without a policy so a stale request cannot linger.
+        // even without a policy so a stale request cannot linger. The
+        // final snapshot covers the last boundary.
         let requested = spec.take_checkpoint_request();
-        if let Some(policy) = spec.checkpoint() {
-            let periodic = fleet.epoch.is_multiple_of(policy.every_rounds());
-            if (periodic || requested) && fleet.epoch < cfg.epochs {
-                write_fleet_checkpoint(policy, spec, idents, fleet, &members.fuzzer_blobs()?)?;
-            }
-        }
+        due = spec.checkpoint().filter(|policy| {
+            (requested || fleet.epoch.is_multiple_of(policy.every_rounds()))
+                && fleet.epoch < cfg.epochs
+        });
     }
     Ok(())
 }

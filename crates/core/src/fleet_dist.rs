@@ -5,15 +5,26 @@
 //! The coordinator ([`run_fleet_dist`]) runs that loop and so owns
 //! everything that defines the fleet's observable behaviour — the
 //! shared corpus, the budget scheduler, the merged coverage curve, the
-//! event stream and the checkpoints. Workers ([`run_worker`], usually the bench
-//! `fleet_worker` binary) are **stateless between epochs**: every
-//! budget grant carries the member's full serialised campaign and
-//! fuzzer state, the worker recomputes its epoch slice
-//! deterministically and returns the advanced state plus harvested
-//! cases. Because a grant is self-contained, a freshly respawned
-//! worker rerunning a lost epoch is byte-for-byte the same computation
-//! the dead worker would have performed — crash recovery *is* the
-//! normal path.
+//! event stream and the checkpoints. Workers ([`run_worker`], usually
+//! the bench `fleet_worker` binary) run epoch slices and return the
+//! advanced campaign and fuzzer state, serialised, plus the harvested
+//! cases; the coordinator keeps those blobs, which every snapshot and
+//! every full grant read.
+//!
+//! A worker also keeps the member live after it returns a result. While
+//! the connection that delivered the result adopted at the member's last
+//! epoch close is still open, and its `Hello` said protocol minor ≥ 1,
+//! the next work order is a [`Payload::Continue`] naming that result's
+//! epoch: the worker runs on from its live state, as the in-process fleet
+//! runs on from its live fuzzers, and no state crosses the wire towards
+//! it. Every other order is a full [`Payload::Grant`] carrying the
+//! blobs: the first one on each connection (fresh, respawned or
+//! reconnected workers, resumed runs) and every order to a 1.0 worker.
+//! A worker asked to continue from a result it did not return last
+//! answers [`Payload::Error`], and the coordinator respawns it with a
+//! full grant. A full grant is self-contained, so a respawned worker
+//! rerunning a lost epoch performs byte for byte the computation the
+//! dead worker would have.
 //!
 //! # Determinism contract (async epochs)
 //!
@@ -56,6 +67,7 @@ use std::time::{Duration, Instant};
 use hfl_dut::CoverageMap;
 use hfl_nn::persist::{corrupt, PersistError};
 
+use crate::baselines::Fuzzer;
 use crate::campaign::{CampaignState, HarvestedCase, RunConfig, RunError};
 use crate::exec::ExecPool;
 use crate::fleet::{
@@ -252,15 +264,18 @@ fn send_frame(writer: &Mutex<TcpStream>, payload: Payload) -> Result<(), WireErr
 }
 
 /// Runs one worker: connect, introduce ourselves, receive the member
-/// assignment, then recompute every granted epoch slice until told to
-/// shut down. See the module docs for why a worker holds no state a
-/// grant doesn't carry.
+/// assignment, then run every granted epoch slice until told to shut
+/// down. A `Grant` loads the member from the blobs it carries; a
+/// `Continue` runs on from the state this worker kept live since the
+/// result it names (see the module docs).
 ///
 /// # Errors
 /// Connection and protocol failures, among them an `Assign` whose
 /// execution knobs [`RunConfig::validate`] rejects (more than
-/// [`crate::exec::MAX_THREADS`] threads, say); a lost coordinator
-/// simply ends the worker cleanly (it holds nothing worth saving).
+/// [`crate::exec::MAX_THREADS`] threads, say) and a `Continue` this
+/// worker holds no state for; a failed work order is reported to the
+/// coordinator as [`Payload::Error`] first. A lost coordinator simply
+/// ends the worker cleanly (it holds nothing worth saving).
 pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result<(), WireError> {
     let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
     let _ = stream.set_nodelay(true);
@@ -313,10 +328,17 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
         .map_err(|e| WireError::Protocol(format!("assign rejected: {e}")))?;
     let executor = Executor::builder(core).max_steps(max_steps).build();
     let mut pool = ExecPool::new(executor, threads);
-    let map_len = pool.coverage_map().len();
     let mut fuzzer = kind.build(seed);
     fuzzer.attach_lane(pool.lane());
-    let mut metrics = Metrics::new();
+    let mut slot = WorkerSlot {
+        member,
+        map_len: pool.coverage_map().len(),
+        pool,
+        run,
+        fuzzer,
+        metrics: Metrics::new(),
+        live: None,
+    };
 
     let stop = Arc::new(AtomicBool::new(false));
     {
@@ -343,12 +365,7 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
             Err(e) => break Err(e),
         };
         match payload {
-            Payload::Grant {
-                epoch,
-                budget,
-                state,
-                fuzzer_state,
-            } => {
+            Payload::Grant { epoch, .. } | Payload::Continue { epoch, .. } => {
                 if fault.die_at_epoch == Some(epoch) {
                     // Simulated SIGKILL: vanish without a word.
                     break Ok(());
@@ -356,34 +373,20 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
                 if fault.sleep_at_epoch == Some(epoch) {
                     thread::sleep(Duration::from_millis(fault.sleep_millis));
                 }
-                let mut st = CampaignState::load(&mut state.as_slice(), map_len)?;
-                fuzzer.load_state(&mut fuzzer_state.as_slice())?;
-                // A composition failure is a protocol-level fault of this
-                // worker's member pairing: report it upstream instead of
-                // panicking the process.
-                let harvest = run_slice(
-                    fuzzer.as_mut(),
-                    &mut pool,
-                    run,
-                    budget,
-                    &mut metrics,
-                    &mut st,
-                )
-                .map_err(|e| WireError::Protocol(e.to_string()))?;
-                let mut state_blob = Vec::new();
-                st.save(&mut state_blob)?;
-                let mut fuzzer_blob = Vec::new();
-                fuzzer.save_state(&mut fuzzer_blob)?;
-                send_frame(
-                    &writer,
-                    Payload::EpochResult {
-                        epoch,
-                        member,
-                        state: state_blob,
-                        fuzzer_state: fuzzer_blob,
-                        harvest,
-                    },
-                )?;
+                match slot.work(payload) {
+                    Ok(result) => {
+                        if let Err(e) = send_frame(&writer, result) {
+                            break Err(e);
+                        }
+                    }
+                    Err(e) => {
+                        // The coordinator answers an error by respawning
+                        // this member with a full grant.
+                        let message = e.to_string();
+                        let _ = send_frame(&writer, Payload::Error { message });
+                        break Err(e);
+                    }
+                }
             }
             Payload::Shutdown => {
                 let _ = send_frame(&writer, Payload::Bye { worker });
@@ -405,13 +408,105 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
     outcome
 }
 
-enum Msg {
-    Hello(u32, Arc<Mutex<TcpStream>>),
-    Frame(u32, Payload),
-    Gone(u32),
+/// The member a worker runs: its fuzzer and pool, and the campaign state
+/// after the last result the worker returned.
+struct WorkerSlot {
+    member: u32,
+    map_len: usize,
+    pool: ExecPool,
+    run: RunConfig,
+    fuzzer: Box<dyn Fuzzer>,
+    metrics: Metrics,
+    /// The epoch of the last result this worker returned and the state
+    /// after it: what a `Continue` runs from.
+    live: Option<(u64, CampaignState)>,
 }
 
-fn serve_connection(stream: TcpStream, tx: &Sender<Msg>) {
+impl WorkerSlot {
+    /// Runs one work order (`Grant` or `Continue`) and returns its
+    /// `EpochResult`.
+    fn work(&mut self, order: Payload) -> Result<Payload, WireError> {
+        let held = self.live.take();
+        let (epoch, budget, mut state) = match order {
+            Payload::Grant {
+                epoch,
+                budget,
+                state,
+                fuzzer_state,
+            } => {
+                let state = CampaignState::load(&mut state.as_slice(), self.map_len)?;
+                self.fuzzer.load_state(&mut fuzzer_state.as_slice())?;
+                (epoch, budget, state)
+            }
+            Payload::Continue {
+                epoch,
+                budget,
+                after,
+            } => match held {
+                Some((last, state)) if last == after => (epoch, budget, state),
+                held => {
+                    let holds = match held {
+                        Some((last, _)) => format!("this worker's last result is epoch {last}"),
+                        None => String::from("this worker holds no member state"),
+                    };
+                    return Err(WireError::Protocol(format!(
+                        "continue after epoch {after}, but {holds}"
+                    )));
+                }
+            },
+            other => {
+                return Err(WireError::Protocol(format!(
+                    "{} is not a work order",
+                    other.name()
+                )))
+            }
+        };
+        // A composition failure is a protocol-level fault of this
+        // worker's member pairing: report it upstream instead of
+        // panicking the process.
+        let harvest = run_slice(
+            self.fuzzer.as_mut(),
+            &mut self.pool,
+            self.run,
+            budget,
+            &mut self.metrics,
+            &mut state,
+        )
+        .map_err(|e| WireError::Protocol(e.to_string()))?;
+        let mut state_blob = Vec::new();
+        state.save(&mut state_blob)?;
+        let mut fuzzer_blob = Vec::new();
+        self.fuzzer.save_state(&mut fuzzer_blob)?;
+        self.live = Some((epoch, state));
+        Ok(Payload::EpochResult {
+            epoch,
+            member: self.member,
+            state: state_blob,
+            fuzzer_state: fuzzer_blob,
+            harvest,
+        })
+    }
+}
+
+/// What a connection thread tells the coordinator. Each accepted
+/// connection has its own id, so frames from a connection the coordinator
+/// has replaced are recognised as stale.
+enum Msg {
+    /// A worker's `Hello` on connection `conn`, with the protocol minor
+    /// the frame carried and the connection's writer.
+    Hello {
+        worker: u32,
+        conn: u64,
+        minor: u16,
+        writer: Arc<Mutex<TcpStream>>,
+    },
+    /// Any later frame on connection `conn`.
+    Frame(u32, u64, Payload),
+    /// Connection `conn` failed or closed.
+    Gone(u32, u64),
+}
+
+fn serve_connection(stream: TcpStream, conn: u64, tx: &Sender<Msg>) {
     let Ok(mut reader) = stream.try_clone() else {
         return;
     };
@@ -419,29 +514,33 @@ fn serve_connection(stream: TcpStream, tx: &Sender<Msg>) {
     // version check happens inside Frame::read_from (a major mismatch
     // is a typed error, so the connection is dropped before the worker
     // is admitted).
-    let worker = match Frame::read_from(&mut reader) {
+    let (worker, minor) = match Frame::read_from(&mut reader) {
         Ok(Frame {
             payload: Payload::Hello { worker },
-            ..
-        }) => worker,
+            version: (_, minor),
+        }) => (worker, minor),
         _ => return,
     };
     let _ = stream.set_nodelay(true);
-    if tx
-        .send(Msg::Hello(worker, Arc::new(Mutex::new(stream))))
-        .is_err()
-    {
+    let writer = Arc::new(Mutex::new(stream));
+    let hello = Msg::Hello {
+        worker,
+        conn,
+        minor,
+        writer,
+    };
+    if tx.send(hello).is_err() {
         return;
     }
     loop {
         match Frame::read_from(&mut reader) {
             Ok(frame) => {
-                if tx.send(Msg::Frame(worker, frame.payload)).is_err() {
+                if tx.send(Msg::Frame(worker, conn, frame.payload)).is_err() {
                     return;
                 }
             }
             Err(_) => {
-                let _ = tx.send(Msg::Gone(worker));
+                let _ = tx.send(Msg::Gone(worker, conn));
                 return;
             }
         }
@@ -450,6 +549,14 @@ fn serve_connection(stream: TcpStream, tx: &Sender<Msg>) {
 
 struct Slot {
     writer: Option<Arc<Mutex<TcpStream>>>,
+    /// The connection `writer` belongs to.
+    conn: Option<u64>,
+    /// The protocol minor the worker on `conn` announced.
+    minor: u16,
+    /// The connection that delivered the result adopted at this member's
+    /// last epoch close, and that result's epoch. While `conn` is still
+    /// that connection, its worker holds the member live from there.
+    adopted: Option<(u64, u64)>,
     /// Epoch of the grant this member is working on, if any.
     outstanding: Option<u64>,
     /// Budget waiting to be granted once the member has a connection.
@@ -462,7 +569,36 @@ struct Slot {
     last_seen: Instant,
 }
 
+impl Slot {
+    fn new(respawns_left: u32, now: Instant) -> Slot {
+        Slot {
+            writer: None,
+            conn: None,
+            minor: 0,
+            adopted: None,
+            outstanding: None,
+            pending_grant: None,
+            granted: 0,
+            respawns_left,
+            alive: true,
+            last_seen: now,
+        }
+    }
+
+    /// The epoch a work order may continue from instead of carrying the
+    /// member's state: set when the worker on the current connection
+    /// speaks minor ≥ 1 and returned the result adopted at the last
+    /// epoch close. A new connection (a respawn or a reconnect) is cold.
+    fn continues_after(&self) -> Option<u64> {
+        let (conn, epoch) = self.adopted?;
+        (self.minor >= 1 && self.conn == Some(conn)).then_some(epoch)
+    }
+}
+
 struct WorkerEpoch {
+    /// The connection that delivered the result.
+    conn: u64,
+    epoch: u64,
     state: CampaignState,
     state_blob: Vec<u8>,
     fuzzer_blob: Vec<u8>,
@@ -470,7 +606,8 @@ struct WorkerEpoch {
 }
 
 /// The wire transport: grants, heartbeats and respawns. Between epochs
-/// it holds every member as the serialised blobs the wire carries.
+/// it holds every member as the serialised blobs the wire carries, which
+/// a full grant and a snapshot read.
 struct Coordinator<'a> {
     specs: &'a [MemberSpec],
     spec: &'a FleetSpec,
@@ -484,6 +621,8 @@ struct Coordinator<'a> {
     state_blobs: Vec<Vec<u8>>,
     fuzzer_blobs: Vec<Vec<u8>>,
     results: Vec<Option<WorkerEpoch>>,
+    /// Which members the current epoch granted work.
+    planned: Vec<bool>,
 }
 
 impl Coordinator<'_> {
@@ -496,7 +635,13 @@ impl Coordinator<'_> {
         (index < self.specs.len()).then_some(index)
     }
 
-    fn handle_hello(&mut self, worker: u32, writer: Arc<Mutex<TcpStream>>) {
+    /// The member `worker` runs, if `conn` is still its connection.
+    fn current(&self, worker: u32, conn: u64) -> Option<usize> {
+        let index = self.member_index(worker)?;
+        (self.slots[index].conn == Some(conn)).then_some(index)
+    }
+
+    fn handle_hello(&mut self, worker: u32, conn: u64, minor: u16, writer: Arc<Mutex<TcpStream>>) {
         let Some(index) = self.member_index(worker) else {
             return;
         };
@@ -520,38 +665,65 @@ impl Coordinator<'_> {
         {
             let slot = &mut self.slots[index];
             slot.writer = Some(writer);
+            slot.conn = Some(conn);
+            slot.minor = minor;
             slot.alive = true;
             slot.last_seen = Instant::now();
         }
         // A reconnecting worker lost any in-flight grant with its old
-        // process: reissue it from the authoritative blobs. Pending
-        // (not yet issued) grants go out in the wait loop's pass.
+        // process: reissue it, in full since the connection is new.
+        // Pending (not yet issued) grants go out in the wait loop's pass.
         if let Some(epoch) = self.slots[index].outstanding {
             let budget = self.slots[index].granted;
             self.send_grant(index, epoch, budget);
         }
     }
 
+    /// Sends member `index` its work order for `epoch`: a `Continue` when
+    /// its worker holds the member live, a full `Grant` otherwise.
     fn send_grant(&mut self, index: usize, epoch: u64, budget: u64) {
         let Some(writer) = self.slots[index].writer.clone() else {
             return;
         };
-        let grant = Payload::Grant {
-            epoch,
-            budget,
-            state: self.state_blobs[index].clone(),
-            fuzzer_state: self.fuzzer_blobs[index].clone(),
+        let order = match self.slots[index].continues_after() {
+            Some(after) => Payload::Continue {
+                epoch,
+                budget,
+                after,
+            },
+            None => Payload::Grant {
+                epoch,
+                budget,
+                state: self.state_blobs[index].clone(),
+                fuzzer_state: self.fuzzer_blobs[index].clone(),
+            },
         };
-        if send_frame(&writer, grant).is_err() {
+        if send_frame(&writer, order).is_err() {
             self.handle_death(index);
         }
     }
 
+    /// Issues pending grants to members that have a connection.
+    fn issue_pending(&mut self, epoch: u64) {
+        for index in 0..self.len() {
+            if self.slots[index].writer.is_some() {
+                if let Some(budget) = self.slots[index].pending_grant.take() {
+                    self.slots[index].outstanding = Some(epoch);
+                    self.slots[index].granted = budget;
+                    self.send_grant(index, epoch, budget);
+                }
+            }
+        }
+    }
+
+    /// Drops member `index`'s connection, which also makes it cold, and
+    /// relaunches its worker while respawns are left.
     fn handle_death(&mut self, index: usize) {
         if !self.slots[index].alive {
             return;
         }
         self.slots[index].writer = None;
+        self.slots[index].conn = None;
         self.launcher.kill(index);
         let slot = &mut self.slots[index];
         if slot.respawns_left > 0 {
@@ -565,10 +737,7 @@ impl Coordinator<'_> {
         }
     }
 
-    fn handle_frame(&mut self, worker: u32, payload: Payload) {
-        let Some(index) = self.member_index(worker) else {
-            return;
-        };
+    fn handle_frame(&mut self, index: usize, conn: u64, payload: Payload) {
         match payload {
             Payload::EpochResult {
                 epoch,
@@ -576,7 +745,7 @@ impl Coordinator<'_> {
                 fuzzer_state,
                 harvest,
                 ..
-            } => self.handle_result(index, epoch, state, fuzzer_state, harvest),
+            } => self.handle_result(index, conn, epoch, state, fuzzer_state, harvest),
             Payload::Heartbeat { .. } | Payload::Hello { .. } => {
                 self.slots[index].last_seen = Instant::now();
             }
@@ -588,13 +757,17 @@ impl Coordinator<'_> {
     fn handle_result(
         &mut self,
         index: usize,
+        conn: u64,
         epoch: u64,
         state: Vec<u8>,
         fuzzer_blob: Vec<u8>,
         harvest: Vec<HarvestedCase>,
     ) {
         if self.slots[index].outstanding != Some(epoch) {
-            return; // Stale duplicate (e.g. a result racing a respawn).
+            // Stale duplicate. The worker now holds a state the
+            // coordinator does not, so it gets a full grant next.
+            self.slots[index].adopted = None;
+            return;
         }
         let map_len = self.map(index).len();
         let Ok(decoded) = CampaignState::load(&mut state.as_slice(), map_len) else {
@@ -606,6 +779,8 @@ impl Coordinator<'_> {
         self.slots[index].outstanding = None;
         self.slots[index].last_seen = Instant::now();
         self.results[index] = Some(WorkerEpoch {
+            conn,
+            epoch,
             state: decoded,
             state_blob: state,
             fuzzer_blob,
@@ -623,24 +798,14 @@ impl Coordinator<'_> {
     }
 
     /// Blocks until epoch `epoch` can close per the async contract:
-    /// every live member `planned` for a grant reported, or the deadline
+    /// every live member planned for a grant reported, or the deadline
     /// passed with the quorum met, or only dead members remain.
-    fn wait_for_epoch(&mut self, epoch: u64, planned: &[bool]) -> Result<(), RunError> {
+    fn wait_for_epoch(&mut self, epoch: u64) -> Result<(), RunError> {
         let deadline = Instant::now() + Duration::from_millis(self.dist.epoch_deadline_millis);
         loop {
-            // Issue pending grants to members that have a connection.
-            for index in 0..self.len() {
-                if self.slots[index].writer.is_some() {
-                    if let Some(budget) = self.slots[index].pending_grant {
-                        self.slots[index].pending_grant = None;
-                        self.slots[index].outstanding = Some(epoch);
-                        self.slots[index].granted = budget;
-                        self.send_grant(index, epoch, budget);
-                    }
-                }
-            }
+            self.issue_pending(epoch);
             let (mut expected, mut reported, mut waiting) = (0usize, 0usize, 0usize);
-            for index in (0..self.len()).filter(|&index| planned[index]) {
+            for index in (0..self.len()).filter(|&index| self.planned[index]) {
                 expected += 1;
                 if self.results[index].is_some() {
                     reported += 1;
@@ -675,10 +840,19 @@ impl Coordinator<'_> {
                 }
             }
             match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Msg::Hello(worker, writer)) => self.handle_hello(worker, writer),
-                Ok(Msg::Frame(worker, payload)) => self.handle_frame(worker, payload),
-                Ok(Msg::Gone(worker)) => {
-                    if let Some(index) = self.member_index(worker) {
+                Ok(Msg::Hello {
+                    worker,
+                    conn,
+                    minor,
+                    writer,
+                }) => self.handle_hello(worker, conn, minor, writer),
+                Ok(Msg::Frame(worker, conn, payload)) => {
+                    if let Some(index) = self.current(worker, conn) {
+                        self.handle_frame(index, conn, payload);
+                    }
+                }
+                Ok(Msg::Gone(worker, conn)) => {
+                    if let Some(index) = self.current(worker, conn) {
                         self.handle_death(index);
                     }
                 }
@@ -733,31 +907,35 @@ impl Members for Coordinator<'_> {
         Ok(())
     }
 
-    fn run_epoch(
-        &mut self,
-        epoch: u64,
-        budgets: &[u64],
-        states: &mut [CampaignState],
-        _metrics: &mut Metrics,
-    ) -> Result<Vec<Option<Slice>>, RunError> {
+    fn grant(&mut self, epoch: u64, budgets: &[u64]) {
         // A member still busy with an older grant, or holding an
         // unfolded result, gets no new one this epoch.
-        let mut planned = vec![false; self.len()];
         for (index, &budget) in budgets.iter().enumerate() {
             let slot = &mut self.slots[index];
-            planned[index] =
+            self.planned[index] =
                 slot.alive && slot.outstanding.is_none() && self.results[index].is_none();
-            if planned[index] {
+            if self.planned[index] {
                 slot.pending_grant = Some(budget);
             }
         }
-        self.wait_for_epoch(epoch, &planned)?;
+        self.issue_pending(epoch);
+    }
+
+    fn wait(
+        &mut self,
+        epoch: u64,
+        _budgets: &[u64],
+        states: &mut [CampaignState],
+        _metrics: &mut Metrics,
+    ) -> Result<Vec<Option<Slice>>, RunError> {
+        self.wait_for_epoch(epoch)?;
         let slices = (0..self.len())
             .map(|index| {
                 let res = self.results[index].take()?;
                 states[index] = res.state;
                 self.state_blobs[index] = res.state_blob;
                 self.fuzzer_blobs[index] = res.fuzzer_blob;
+                self.slots[index].adopted = Some((res.conn, res.epoch));
                 Some(Slice {
                     granted: self.slots[index].granted,
                     harvest: res.harvest,
@@ -823,6 +1001,7 @@ pub fn run_fleet_dist(
     let accept_handle = {
         let stop = Arc::clone(&stop_accept);
         let tx = tx.clone();
+        let mut next_conn = 0u64;
         thread::Builder::new()
             .name(String::from("fleet-accept"))
             .spawn(move || loop {
@@ -832,7 +1011,9 @@ pub fn run_fleet_dist(
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let tx = tx.clone();
-                        thread::spawn(move || serve_connection(stream, &tx));
+                        let conn = next_conn;
+                        next_conn += 1;
+                        thread::spawn(move || serve_connection(stream, conn, &tx));
                     }
                     Err(_) => thread::sleep(Duration::from_millis(10)),
                 }
@@ -850,20 +1031,11 @@ pub fn run_fleet_dist(
         rx,
         executors,
         map_slot,
-        slots: (0..n)
-            .map(|_| Slot {
-                writer: None,
-                outstanding: None,
-                pending_grant: None,
-                granted: 0,
-                respawns_left: dist.max_respawns,
-                alive: true,
-                last_seen: now,
-            })
-            .collect(),
+        slots: (0..n).map(|_| Slot::new(dist.max_respawns, now)).collect(),
         state_blobs: Vec::new(),
         fuzzer_blobs: Vec::new(),
         results: (0..n).map(|_| None).collect(),
+        planned: vec![false; n],
     };
     let result = drive(&mut coordinator, &idents, spec);
     // Dismiss the workers and stop accepting, whether the epochs
@@ -877,4 +1049,233 @@ pub fn run_fleet_dist(
     stop_accept.store(true, Ordering::Relaxed);
     let _ = accept_handle.join();
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::{run_fleet, FleetConfig};
+    use crate::obs::{Event, RingSink, SinkHandle};
+    use crate::spec::FuzzerKind;
+    use hfl_dut::CoreKind;
+
+    #[test]
+    fn only_a_warm_connection_that_speaks_minor_one_continues() {
+        let mut slot = Slot::new(0, Instant::now());
+        slot.conn = Some(4);
+        slot.minor = 1;
+        assert_eq!(slot.continues_after(), None, "nothing adopted yet");
+        slot.adopted = Some((4, 7));
+        assert_eq!(slot.continues_after(), Some(7));
+        slot.minor = 0;
+        assert_eq!(slot.continues_after(), None, "a 1.0 worker");
+        slot.minor = 3;
+        assert_eq!(slot.continues_after(), Some(7), "a later minor");
+        slot.conn = Some(5);
+        assert_eq!(slot.continues_after(), None, "a new connection");
+        slot.conn = None;
+        assert_eq!(slot.continues_after(), None, "a dead worker");
+    }
+
+    /// A worker connected to a hand-driven coordinator side.
+    struct Peer {
+        stream: TcpStream,
+        worker: thread::JoinHandle<Result<(), WireError>>,
+    }
+
+    impl Peer {
+        /// Starts a worker, reads its `Hello` and assigns it a Difuzz
+        /// member on Rocket.
+        fn assigned() -> Peer {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+            let addr = listener.local_addr().expect("local address").to_string();
+            let worker = thread::spawn(move || run_worker(&addr, 0, None));
+            let (stream, _) = listener.accept().expect("the worker connects");
+            let mut peer = Peer { stream, worker };
+            let hello = peer.next();
+            assert_eq!(hello, Payload::Hello { worker: 0 });
+            peer.send(Payload::Assign {
+                member: 0,
+                name: String::from("difuzz-1"),
+                core: CoreKind::Rocket,
+                fuzzer: FuzzerKind::Difuzz,
+                seed: 1,
+                max_steps: 3_000,
+                batch: 2,
+                threads: 1,
+                heartbeat_millis: 60_000,
+            });
+            peer
+        }
+
+        fn send(&mut self, payload: Payload) {
+            Frame::new(payload)
+                .write_to(&mut self.stream)
+                .expect("send a frame");
+        }
+
+        /// The next frame that is not a heartbeat.
+        fn next(&mut self) -> Payload {
+            loop {
+                match Frame::read_from(&mut self.stream).expect("a frame").payload {
+                    Payload::Heartbeat { .. } => {}
+                    payload => return payload,
+                }
+            }
+        }
+
+        /// Expects an `Error` frame naming `needle`, after which the
+        /// worker returns the same protocol error.
+        fn refused(mut self, needle: &str) {
+            match self.next() {
+                Payload::Error { message } => assert!(message.contains(needle), "{message}"),
+                other => panic!("expected an error frame, got {}", other.name()),
+            }
+            match self.worker.join().expect("the worker returns") {
+                Err(WireError::Protocol(message)) => assert!(message.contains(needle)),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_continue_before_any_grant_is_answered_with_an_error() {
+        let mut peer = Peer::assigned();
+        peer.send(Payload::Continue {
+            epoch: 1,
+            budget: 4,
+            after: 0,
+        });
+        peer.refused("holds no member state");
+    }
+
+    #[test]
+    fn a_continue_from_another_epoch_is_answered_with_an_error() {
+        let mut peer = Peer::assigned();
+        let mut state = Vec::new();
+        let map_len = Executor::builder(CoreKind::Rocket)
+            .build()
+            .coverage_map()
+            .len();
+        CampaignState::fresh(map_len)
+            .save(&mut state)
+            .expect("saves");
+        let mut fuzzer_state = Vec::new();
+        FuzzerKind::Difuzz
+            .build(1)
+            .save_state(&mut fuzzer_state)
+            .expect("saves");
+        peer.send(Payload::Grant {
+            epoch: 0,
+            budget: 4,
+            state,
+            fuzzer_state,
+        });
+        assert!(matches!(peer.next(), Payload::EpochResult { epoch: 0, .. }));
+        // The live state continues from epoch 0's result, not epoch 2's.
+        peer.send(Payload::Continue {
+            epoch: 3,
+            budget: 4,
+            after: 2,
+        });
+        peer.refused("last result is epoch 0");
+    }
+
+    /// Launches thread workers behind a relay that records the kind of
+    /// every frame the coordinator sends and rewrites the minor version
+    /// of each worker's frames to `minor`.
+    struct Relay {
+        minor: u16,
+        kinds: Arc<Mutex<Vec<u32>>>,
+        workers: Vec<thread::JoinHandle<Result<(), WireError>>>,
+        pipes: Vec<thread::JoinHandle<()>>,
+    }
+
+    fn pipe(mut from: TcpStream, mut to: TcpStream, mut each: impl FnMut(&mut Frame)) {
+        while let Ok(mut frame) = Frame::read_from(&mut from) {
+            each(&mut frame);
+            if frame.write_to(&mut to).is_err() {
+                break;
+            }
+        }
+        let _ = from.shutdown(std::net::Shutdown::Both);
+        let _ = to.shutdown(std::net::Shutdown::Both);
+    }
+
+    impl WorkerLauncher for Relay {
+        fn launch(&mut self, index: usize, addr: &SocketAddr) -> io::Result<()> {
+            let upstream = TcpStream::connect(addr)?;
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let local = listener.local_addr()?.to_string();
+            let worker = thread::spawn(move || run_worker(&local, index as u32, None));
+            self.workers.push(worker);
+            let (downstream, _) = listener.accept()?;
+            let (up, down) = (upstream.try_clone()?, downstream.try_clone()?);
+            let minor = self.minor;
+            self.pipes.push(thread::spawn(move || {
+                pipe(downstream, upstream, |f| f.version.1 = minor);
+            }));
+            let kinds = Arc::clone(&self.kinds);
+            self.pipes.push(thread::spawn(move || {
+                pipe(up, down, |f| {
+                    kinds.lock().expect("kinds").push(f.payload.kind());
+                });
+            }));
+            Ok(())
+        }
+
+        fn kill(&mut self, _index: usize) {}
+
+        // The workers have been sent `Shutdown`: each answers `Bye` and
+        // returns, which closes its relay.
+        fn shutdown(&mut self) {
+            for worker in self.workers.drain(..) {
+                let outcome = worker.join().expect("the worker returns");
+                assert!(outcome.is_ok(), "{outcome:?}");
+            }
+            for pipe in self.pipes.drain(..) {
+                pipe.join().expect("the relay ends");
+            }
+        }
+    }
+
+    #[test]
+    fn minor_one_workers_continue_and_minor_zero_workers_get_full_grants() {
+        let config = FleetConfig::quick(4, 12).with_batch(2);
+        let specs = [
+            MemberSpec::new(FuzzerKind::Difuzz, 7, CoreKind::Rocket),
+            MemberSpec::new(FuzzerKind::Cascade, 1, CoreKind::Rocket),
+        ];
+        let observe = |run: &dyn Fn(&FleetSpec)| {
+            let ring = Arc::new(RingSink::new(100_000));
+            let spec = FleetSpec::builder(config)
+                .sink(SinkHandle::new(ring.clone()))
+                .build()
+                .expect("valid spec");
+            run(&spec);
+            ring.events()
+        };
+        let reference: Vec<Event> = observe(&|spec| {
+            let mut members: Vec<_> = specs.iter().map(MemberSpec::build_member).collect();
+            run_fleet(&mut members, spec).expect("fleet runs");
+        });
+        for (minor, grants, continues) in [(1u16, 2usize, 6usize), (0, 8, 0)] {
+            let kinds = Arc::new(Mutex::new(Vec::new()));
+            let events = observe(&|spec| {
+                let mut relay = Relay {
+                    minor,
+                    kinds: Arc::clone(&kinds),
+                    workers: Vec::new(),
+                    pipes: Vec::new(),
+                };
+                let dist = DistConfig::default();
+                run_fleet_dist(&specs, spec, &dist, &mut relay).expect("fleet runs");
+            });
+            assert_eq!(events, reference, "minor {minor}: the stream changed");
+            let kinds = kinds.lock().expect("kinds");
+            let count = |kind: u32| kinds.iter().filter(|&&k| k == kind).count();
+            assert_eq!(count(3), grants, "minor {minor}: grants");
+            assert_eq!(count(9), continues, "minor {minor}: continues");
+        }
+    }
 }

@@ -10,7 +10,7 @@ use hfl_nn::persist::{
     read_bool, read_f32, read_f32_vec, read_f64, read_u32, read_u64, read_usize, write_bool,
     write_f32, write_f32_vec, write_f64, write_u32, write_u64, write_usize, Codec, PersistError,
 };
-use hfl_nn::{Adam, LstmState};
+use hfl_nn::{Adam, Lstm, LstmState};
 use hfl_rl::{advantage, PpoConfig, RewardConfig, RewardNormalizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -416,9 +416,11 @@ impl HflFuzzer {
         let m2 = read_f64(r)?;
         self.normalizer = RewardNormalizer::from_state(count, mean, m2);
         let gen_state = LstmState::load(r)?;
+        check_session("generator", self.generator.lstm_ref(), &gen_state)?;
         let next_input = Tokens::load(r)?;
         self.session = GenSession::from_parts(gen_state, next_input);
         let value_state = LstmState::load(r)?;
+        check_session("critic", self.critic().lstm_ref(), &value_state)?;
         let last_value = read_f32(r)?;
         self.value_session = ValueSession::from_parts(value_state, last_value);
         self.coverage_predictor = if read_bool(r)? {
@@ -426,14 +428,15 @@ impl HflFuzzer {
         } else {
             None
         };
-        self.coverage_session = if read_bool(r)? {
-            Some(CoverageSession::from_parts(LstmState::load(r)?))
-        } else {
-            None
+        self.coverage_session = match (&self.coverage_predictor, read_bool(r)?) {
+            (Some(cp), true) => {
+                let state = LstmState::load(r)?;
+                check_session("coverage", cp.lstm_ref(), &state)?;
+                Some(CoverageSession::from_parts(state))
+            }
+            (None, false) => None,
+            _ => return Err(corrupt("coverage predictor and session must pair up")),
         };
-        if self.coverage_predictor.is_some() != self.coverage_session.is_some() {
-            return Err(corrupt("coverage predictor and session must pair up"));
-        }
         self.cov_adam = Adam::load(r)?;
         self.cumulative_bits = read_f32_vec(r)?;
         self.body = persist::read_program(r)?;
@@ -951,6 +954,21 @@ impl Fuzzer for HflFuzzer {
     }
 }
 
+/// Refuses a restored session state that does not fit its model's LSTM
+/// (layer count and hidden width), which would otherwise panic in the
+/// first `Lstm::step`.
+fn check_session(name: &str, lstm: &Lstm, state: &LstmState) -> Result<(), PersistError> {
+    let (layers, hidden) = (lstm.layers(), lstm.hidden());
+    let fits = |vs: &[Vec<f32>]| vs.len() == layers && vs.iter().all(|v| v.len() == hidden);
+    if fits(&state.h) && fits(&state.c) {
+        Ok(())
+    } else {
+        Err(hfl_nn::persist::corrupt(format!(
+            "{name} session does not fit its model's {layers} layers of {hidden}"
+        )))
+    }
+}
+
 /// The [`Event::PredictorEval`] scoring the coverage predictor's
 /// pre-update `logits` against a case's realised coverage `bits`. A point
 /// counts as predicted when its hit probability exceeds one half.
@@ -1233,6 +1251,53 @@ mod tests {
             }
         }
         assert_eq!(chosen, best.expect("k >= 1").1);
+    }
+
+    #[test]
+    fn a_session_that_does_not_fit_its_model_is_refused() {
+        // One layer too few, then one hidden unit too few.
+        let breaks: [fn(&mut LstmState); 2] = [
+            |state| {
+                state.h.pop();
+                state.c.pop();
+            },
+            |state| {
+                state.c[0].pop();
+            },
+        ];
+        let reload = |hfl: &HflFuzzer| {
+            let mut blob = Vec::new();
+            hfl.save_state(&mut blob).expect("saves");
+            HflFuzzer::new(tiny()).load_state(&mut blob.as_slice())
+        };
+        reload(&armed_for_screening(5)).expect("an intact snapshot loads");
+        for name in ["generator", "critic", "coverage"] {
+            for broken in breaks {
+                let mut hfl = armed_for_screening(5);
+                match name {
+                    "generator" => {
+                        let mut state = hfl.session.state().clone();
+                        broken(&mut state);
+                        let next = hfl.session.next_input;
+                        hfl.session = GenSession::from_parts(state, next);
+                    }
+                    "critic" => {
+                        let mut state = hfl.value_session.state().clone();
+                        broken(&mut state);
+                        let value = hfl.value_session.value();
+                        hfl.value_session = ValueSession::from_parts(state, value);
+                    }
+                    _ => {
+                        let session = hfl.coverage_session.as_ref().expect("armed");
+                        let mut state = session.state().clone();
+                        broken(&mut state);
+                        hfl.coverage_session = Some(CoverageSession::from_parts(state));
+                    }
+                }
+                let err = reload(&hfl).expect_err("a misfit session must be refused");
+                assert!(err.to_string().contains(name), "{name}: {err}");
+            }
+        }
     }
 
     #[test]

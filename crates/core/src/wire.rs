@@ -31,7 +31,10 @@
 //! [`PROTOCOL_VERSION`] is semver-style `(major, minor)`. Bump the
 //! minor for backwards-compatible additions (new payload kinds — old
 //! peers reject unknown kinds cleanly); bump the major for any change
-//! to existing frame or payload encodings.
+//! to existing frame or payload encodings. A sender uses a kind only
+//! with a peer whose frames carry the minor that added it: version 1.1
+//! added [`Payload::Continue`], which the coordinator sends only to a
+//! worker whose `Hello` said minor ≥ 1, so 1.0 and 1.1 peers interoperate.
 //!
 //! Payload bodies reuse the PR 3 snapshot container's serialisation
 //! helpers (`hfl_nn::persist`), so member checkpoints, coverage
@@ -51,8 +54,9 @@ use crate::campaign::HarvestedCase;
 use crate::persist::{read_program, write_program};
 use crate::spec::FuzzerKind;
 
-/// The protocol spoken by this build, as `(major, minor)`.
-pub const PROTOCOL_VERSION: (u16, u16) = (1, 0);
+/// The protocol spoken by this build, as `(major, minor)`. Minor 1 added
+/// [`Payload::Continue`].
+pub const PROTOCOL_VERSION: (u16, u16) = (1, 1);
 
 /// The four bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"HFLW";
@@ -162,9 +166,9 @@ impl From<PersistError> for WireError {
     }
 }
 
-/// One protocol message. The coordinator sends `Assign`, `Grant` and
-/// `Shutdown`; workers send `Hello`, `EpochResult`, `Heartbeat`, `Bye`
-/// and `Error`.
+/// One protocol message. The coordinator sends `Assign`, `Grant`,
+/// `Continue` and `Shutdown`; workers send `Hello`, `EpochResult`,
+/// `Heartbeat`, `Bye` and `Error`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// First frame on every connection: the worker introduces itself.
@@ -241,6 +245,19 @@ pub enum Payload {
         /// Human-readable description.
         message: String,
     },
+    /// One epoch's work order without the state (minor 1): run `budget`
+    /// cases from the member state the worker holds live since it
+    /// returned epoch `after`'s result. A worker whose last result is
+    /// another epoch, or that holds no state, answers [`Payload::Error`].
+    /// Only a peer whose `Hello` said minor ≥ 1 is sent one.
+    Continue {
+        /// The epoch this work order belongs to.
+        epoch: u64,
+        /// Cases to execute this epoch.
+        budget: u64,
+        /// The epoch of the result the worker continues from.
+        after: u64,
+    },
 }
 
 impl Payload {
@@ -257,6 +274,7 @@ impl Payload {
             Payload::Shutdown => 6,
             Payload::Bye { .. } => 7,
             Payload::Error { .. } => 8,
+            Payload::Continue { .. } => 9,
         }
     }
 
@@ -272,6 +290,7 @@ impl Payload {
             Payload::Shutdown => "shutdown",
             Payload::Bye { .. } => "bye",
             Payload::Error { .. } => "error",
+            Payload::Continue { .. } => "continue",
         }
     }
 
@@ -332,6 +351,15 @@ impl Payload {
             Payload::Error { message } => {
                 write_wire_string(w, message)?;
             }
+            Payload::Continue {
+                epoch,
+                budget,
+                after,
+            } => {
+                write_u64(w, *epoch)?;
+                write_u64(w, *budget)?;
+                write_u64(w, *after)?;
+            }
         }
         Ok(())
     }
@@ -385,6 +413,11 @@ impl Payload {
             },
             8 => Payload::Error {
                 message: read_wire_string(r)?,
+            },
+            9 => Payload::Continue {
+                epoch: read_u64(r)?,
+                budget: read_u64(r)?,
+                after: read_u64(r)?,
             },
             other => return Err(WireError::UnknownKind(other)),
         };
@@ -630,6 +663,11 @@ mod tests {
             Payload::Bye { worker: 3 },
             Payload::Error {
                 message: String::from("executor poisoned"),
+            },
+            Payload::Continue {
+                epoch: 4,
+                budget: 12,
+                after: 3,
             },
         ]
     }

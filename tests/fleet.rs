@@ -4,16 +4,20 @@
 //! interrupt + resume, and the merged ensemble must cover at least as
 //! much as the best single member given the same total case budget.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hfl::baselines::{CascadeFuzzer, DifuzzRtlFuzzer, Feedback, Fuzzer, TestBody, TheHuzzFuzzer};
 use hfl::campaign::{run_campaign, CampaignConfig, CampaignSpec, CheckpointPolicy, RunError};
 use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetResult, FleetSpec};
-use hfl::obs::{replay_fleet, Event, RingSink, SinkHandle};
+use hfl::fleet_dist::{run_fleet_dist, DistConfig, ThreadLauncher};
+use hfl::obs::{replay_fleet, Event, EventSink, RingSink, SinkHandle};
+use hfl::spec::{FuzzerKind, MemberSpec};
 use hfl::StopHandle;
 use hfl_dut::CoreKind;
+use hfl_nn::persist::{read_u64, SnapshotReader};
 use hfl_nn::PersistError;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -492,4 +496,98 @@ fn corrupt_fleet_snapshots_are_rejected_not_trusted() {
         "unexpected error: {msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sink that records what each flush wrote out. Whenever it is called
+/// it also reads the fleet snapshot on disk, which holds the close of the
+/// epoch before its `progress` epoch, and notes whether an earlier flush
+/// already covered that epoch's `epoch_end`.
+struct FlushProbe {
+    snapshot: PathBuf,
+    seen: Mutex<ProbeSeen>,
+}
+
+#[derive(Default)]
+struct ProbeSeen {
+    events: Vec<Event>,
+    /// The last `epoch_end` a flush covered.
+    flushed_close: Option<u64>,
+    /// The `progress` epochs of the snapshots observed on disk.
+    snapshots: BTreeSet<u64>,
+    /// Those whose epoch close no flush had covered.
+    uncovered: BTreeSet<u64>,
+}
+
+impl FlushProbe {
+    fn check(&self, seen: &mut ProbeSeen) {
+        let Ok(snap) = SnapshotReader::read_path(&self.snapshot) else {
+            return;
+        };
+        let mut progress = snap.section("progress").expect("a progress section");
+        let next = read_u64(&mut progress).expect("the next epoch");
+        seen.snapshots.insert(next);
+        if seen.flushed_close.is_none_or(|close| close + 1 < next) {
+            seen.uncovered.insert(next);
+        }
+    }
+}
+
+impl EventSink for FlushProbe {
+    fn emit(&self, event: &Event) {
+        let mut seen = self.seen.lock().expect("probe");
+        self.check(&mut seen);
+        seen.events.push(event.clone());
+    }
+
+    fn flush(&self) {
+        let mut seen = self.seen.lock().expect("probe");
+        self.check(&mut seen);
+        seen.flushed_close = seen.events.iter().rev().find_map(|event| match event {
+            Event::EpochEnd { epoch, .. } => Some(*epoch),
+            _ => None,
+        });
+    }
+}
+
+#[test]
+fn every_fleet_snapshot_finds_its_epoch_close_flushed() {
+    // A log that lags a snapshot would lose the events between them when
+    // a killed fleet resumes by appending to it.
+    let epochs = 4;
+    let config = FleetConfig::quick(epochs, 12).with_batch(2);
+    let specs = [
+        MemberSpec::new(FuzzerKind::Difuzz, 7, CoreKind::Rocket),
+        MemberSpec::new(FuzzerKind::Cascade, 1, CoreKind::Rocket),
+    ];
+    for distributed in [false, true] {
+        let dir = scratch_dir(&format!("flush-{distributed}"));
+        let policy = CheckpointPolicy::new(&dir, 1);
+        let probe = Arc::new(FlushProbe {
+            snapshot: policy.fleet_snapshot_path(),
+            seen: Mutex::default(),
+        });
+        let spec = FleetSpec::builder(config)
+            .sink(SinkHandle::new(probe.clone()))
+            .checkpoint(policy)
+            .build()
+            .expect("valid spec");
+        let result = if distributed {
+            let dist = DistConfig::default();
+            run_fleet_dist(&specs, &spec, &dist, &mut ThreadLauncher::new())
+        } else {
+            let mut members: Vec<FleetMember> =
+                specs.iter().map(MemberSpec::build_member).collect();
+            run_fleet(&mut members, &spec)
+        };
+        assert!(result.expect("fleet runs").completed);
+        let seen = probe.seen.lock().expect("probe");
+        let expected: BTreeSet<u64> = (1..=epochs).collect();
+        assert_eq!(seen.snapshots, expected, "distributed {distributed}");
+        assert!(
+            seen.uncovered.is_empty(),
+            "distributed {distributed}: snapshots {:?} were on disk before the log reached their epoch close",
+            seen.uncovered
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

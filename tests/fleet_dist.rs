@@ -7,8 +7,8 @@
 //! the other. Slow workers must not stall epoch close once a deadline
 //! and quorum are configured.
 
-use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +17,9 @@ use hfl::baselines::{DifuzzRtlFuzzer, Feedback, Fuzzer, TestBody};
 use hfl::campaign::{CheckpointPolicy, RunError};
 use hfl::exec::MAX_THREADS;
 use hfl::fleet::{run_fleet, FleetConfig, FleetMember, FleetResult, FleetSpec};
-use hfl::fleet_dist::{run_fleet_dist, run_worker, DistConfig, ThreadLauncher, WorkerFault};
+use hfl::fleet_dist::{
+    run_fleet_dist, run_worker, DistConfig, ThreadLauncher, WorkerFault, WorkerLauncher,
+};
 use hfl::obs::{Event, RingSink, SinkHandle};
 use hfl::spec::{FuzzerKind, MemberSpec};
 use hfl::wire::{Frame, Payload, WireError};
@@ -72,12 +74,12 @@ fn run_distributed(
     configure: impl FnOnce(hfl::fleet::FleetSpecBuilder) -> hfl::fleet::FleetSpecBuilder,
     config: FleetConfig,
     dist: &DistConfig,
-    mut launcher: ThreadLauncher,
+    launcher: &mut dyn WorkerLauncher,
 ) -> Observed {
     let ring = Arc::new(RingSink::new(1_000_000));
     let builder = FleetSpec::builder(config).sink(SinkHandle::new(ring.clone()));
     let spec = configure(builder).build().expect("valid spec");
-    let result = run_fleet_dist(specs, &spec, dist, &mut launcher).expect("distributed fleet runs");
+    let result = run_fleet_dist(specs, &spec, dist, launcher).expect("distributed fleet runs");
     Observed {
         result,
         events: ring.events(),
@@ -132,6 +134,39 @@ fn assert_results_match(tag: &str, a: &FleetResult, b: &FleetResult) {
     }
 }
 
+/// A launcher that counts its launches per worker.
+struct Counting {
+    inner: ThreadLauncher,
+    launches: Vec<usize>,
+}
+
+impl Counting {
+    fn new(inner: ThreadLauncher) -> Counting {
+        Counting {
+            inner,
+            launches: Vec::new(),
+        }
+    }
+}
+
+impl WorkerLauncher for Counting {
+    fn launch(&mut self, index: usize, addr: &SocketAddr) -> io::Result<()> {
+        if self.launches.len() <= index {
+            self.launches.resize(index + 1, 0);
+        }
+        self.launches[index] += 1;
+        self.inner.launch(index, addr)
+    }
+
+    fn kill(&mut self, index: usize) {
+        self.inner.kill(index);
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+}
+
 #[test]
 fn distributed_fleet_is_bit_identical_to_in_process() {
     let config = FleetConfig::quick(3, 18).with_batch(2);
@@ -146,7 +181,7 @@ fn distributed_fleet_is_bit_identical_to_in_process() {
         |b| b,
         config,
         &DistConfig::default(),
-        ThreadLauncher::new(),
+        &mut ThreadLauncher::new(),
     );
     assert!(dist.result.completed);
     assert_eq!(
@@ -162,18 +197,20 @@ fn a_killed_worker_respawns_and_the_stream_does_not_change() {
     let specs = member_specs();
     let reference = run_in_process(&specs, |b| b, config);
 
-    // Worker 1 drops its connection the instant epoch 1's grant arrives
-    // — the coordinator-side equivalent of a SIGKILL mid-epoch. The
-    // respawned worker replays the grant from the authoritative state
-    // blobs, so nothing observable may change.
-    let launcher = ThreadLauncher::new().with_fault(
+    // Worker 1 drops its connection the instant epoch 1's work order (a
+    // `Continue`) arrives — the coordinator-side equivalent of a SIGKILL
+    // mid-epoch. The respawned worker replays the epoch from a full
+    // grant of the authoritative state blobs, so nothing observable may
+    // change.
+    let mut launcher = Counting::new(ThreadLauncher::new().with_fault(
         1,
         WorkerFault {
             die_at_epoch: Some(1),
             ..WorkerFault::default()
         },
-    );
-    let dist = run_distributed(&specs, |b| b, config, &DistConfig::default(), launcher);
+    ));
+    let dist = run_distributed(&specs, |b| b, config, &DistConfig::default(), &mut launcher);
+    assert_eq!(launcher.launches, [1, 2, 1], "the kill fired once");
     assert!(dist.result.completed);
     assert_eq!(
         reference.events, dist.events,
@@ -192,7 +229,7 @@ fn total_worker_loss_still_snapshots_the_last_epoch_close() {
         |b| b,
         config,
         &DistConfig::default(),
-        ThreadLauncher::new(),
+        &mut ThreadLauncher::new(),
     );
     assert!(reference.result.completed);
 
@@ -240,7 +277,7 @@ fn total_worker_loss_still_snapshots_the_last_epoch_close() {
         |b| b.resume_from(snapshot),
         config,
         &DistConfig::default(),
-        ThreadLauncher::new(),
+        &mut ThreadLauncher::new(),
     );
     assert!(resumed.result.completed);
     partial.extend(resumed.events.iter().cloned());
@@ -269,7 +306,7 @@ fn slow_workers_do_not_stall_epoch_close() {
         quorum_percent: 33,
         ..DistConfig::default()
     };
-    let launcher = ThreadLauncher::new().with_fault(
+    let mut launcher = ThreadLauncher::new().with_fault(
         1,
         WorkerFault {
             sleep_at_epoch: Some(0),
@@ -278,7 +315,7 @@ fn slow_workers_do_not_stall_epoch_close() {
         },
     );
     let started = Instant::now();
-    let observed = run_distributed(&specs, |b| b, config, &dist_cfg, launcher);
+    let observed = run_distributed(&specs, |b| b, config, &dist_cfg, &mut launcher);
     let elapsed = started.elapsed();
     assert!(
         observed.result.completed,
@@ -375,7 +412,7 @@ fn distributed_fleet_resumes_an_in_process_checkpoint_bit_identically() {
         |b| b.resume_from(snapshot),
         config,
         &DistConfig::default(),
-        ThreadLauncher::new(),
+        &mut ThreadLauncher::new(),
     );
     assert!(resumed.result.completed);
 
@@ -402,7 +439,7 @@ fn in_process_fleet_reads_a_distributed_checkpoint() {
         |b| b.checkpoint(CheckpointPolicy::new(&dir, 1)),
         config,
         &DistConfig::default(),
-        ThreadLauncher::new(),
+        &mut ThreadLauncher::new(),
     );
     assert!(dist.result.completed);
 

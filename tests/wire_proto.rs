@@ -70,7 +70,7 @@ impl Mix {
 
     /// One structurally valid payload of a pseudo-random variant.
     fn payload(&mut self) -> Payload {
-        match self.below(8) {
+        match self.below(9) {
             0 => Payload::Hello {
                 worker: self.next() as u32,
             },
@@ -105,8 +105,13 @@ impl Mix {
             6 => Payload::Bye {
                 worker: self.next() as u32,
             },
-            _ => Payload::Error {
+            7 => Payload::Error {
                 message: self.word(),
+            },
+            _ => Payload::Continue {
+                epoch: self.below(1000),
+                budget: self.below(1000),
+                after: self.below(1000),
             },
         }
     }
