@@ -484,16 +484,18 @@ impl CampaignSpec {
     #[must_use]
     pub fn builder(core: CoreKind, config: CampaignConfig) -> CampaignSpecBuilder {
         CampaignSpecBuilder {
-            core,
-            config,
-            quirks: None,
-            mhart: false,
-            sink: SinkHandle::null(),
-            checkpoint: None,
-            resume_from: None,
-            fault_policy: FaultPolicy::default(),
-            fault_plan: None,
-            control: None,
+            spec: CampaignSpec {
+                core,
+                config,
+                quirks: None,
+                mhart: false,
+                sink: SinkHandle::null(),
+                checkpoint: None,
+                resume_from: None,
+                fault_policy: FaultPolicy::default(),
+                fault_plan: None,
+                control: None,
+            },
         }
     }
 
@@ -583,26 +585,18 @@ impl CampaignSpec {
     }
 }
 
-/// Builds a validated [`CampaignSpec`].
+/// Builds a validated [`CampaignSpec`]: holds the spec it builds and
+/// checks it at [`CampaignSpecBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct CampaignSpecBuilder {
-    core: CoreKind,
-    config: CampaignConfig,
-    quirks: Option<hfl_grm::cpu::Quirks>,
-    mhart: bool,
-    sink: SinkHandle,
-    checkpoint: Option<CheckpointPolicy>,
-    resume_from: Option<PathBuf>,
-    fault_policy: FaultPolicy,
-    fault_plan: Option<Arc<FaultPlan>>,
-    control: Option<StopHandle>,
+    spec: CampaignSpec,
 }
 
 impl CampaignSpecBuilder {
     /// Sets an explicit defect configuration.
     #[must_use]
     pub fn quirks(mut self, quirks: hfl_grm::cpu::Quirks) -> CampaignSpecBuilder {
-        self.quirks = Some(quirks);
+        self.spec.quirks = Some(quirks);
         self
     }
 
@@ -614,7 +608,7 @@ impl CampaignSpecBuilder {
     /// manifest in this mode.
     #[must_use]
     pub fn mhart(mut self, mhart: bool) -> CampaignSpecBuilder {
-        self.mhart = mhart;
+        self.spec.mhart = mhart;
         self
     }
 
@@ -623,21 +617,21 @@ impl CampaignSpecBuilder {
     /// [`RunConfig::threads`] on the config.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> CampaignSpecBuilder {
-        self.config.run.threads = threads;
+        self.spec.config.run.threads = threads;
         self
     }
 
     /// Attaches a telemetry sink.
     #[must_use]
     pub fn sink(mut self, sink: SinkHandle) -> CampaignSpecBuilder {
-        self.sink = sink;
+        self.spec.sink = sink;
         self
     }
 
     /// Enables periodic checkpointing.
     #[must_use]
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> CampaignSpecBuilder {
-        self.checkpoint = Some(policy);
+        self.spec.checkpoint = Some(policy);
         self
     }
 
@@ -646,21 +640,21 @@ impl CampaignSpecBuilder {
     /// count may differ — it never affects results).
     #[must_use]
     pub fn resume_from(mut self, snapshot: impl Into<PathBuf>) -> CampaignSpecBuilder {
-        self.resume_from = Some(snapshot.into());
+        self.spec.resume_from = Some(snapshot.into());
         self
     }
 
     /// Overrides the fault-containment bounds (retry budget, fuel).
     #[must_use]
     pub fn fault_policy(mut self, policy: FaultPolicy) -> CampaignSpecBuilder {
-        self.fault_policy = policy;
+        self.spec.fault_policy = policy;
         self
     }
 
     /// Arms a deterministic fault-injection plan (testing / CI).
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> CampaignSpecBuilder {
-        self.fault_plan = Some(Arc::new(plan));
+        self.spec.fault_plan = Some(Arc::new(plan));
         self
     }
 
@@ -669,7 +663,7 @@ impl CampaignSpecBuilder {
     /// requesting a checkpoint snapshots at the next round boundary.
     #[must_use]
     pub fn control(mut self, control: StopHandle) -> CampaignSpecBuilder {
-        self.control = Some(control);
+        self.spec.control = Some(control);
         self
     }
 
@@ -680,24 +674,13 @@ impl CampaignSpecBuilder {
     /// interval, zero step budget, zero batch, zero threads, or a
     /// checkpoint interval of zero rounds.
     pub fn build(self) -> Result<CampaignSpec, SpecError> {
-        self.config.validate()?;
-        if let Some(checkpoint) = &self.checkpoint {
+        self.spec.config.validate()?;
+        if let Some(checkpoint) = &self.spec.checkpoint {
             if checkpoint.every_rounds == 0 {
                 return Err(SpecError::ZeroCheckpointInterval);
             }
         }
-        Ok(CampaignSpec {
-            core: self.core,
-            config: self.config,
-            quirks: self.quirks,
-            mhart: self.mhart,
-            sink: self.sink,
-            checkpoint: self.checkpoint,
-            resume_from: self.resume_from,
-            fault_policy: self.fault_policy,
-            fault_plan: self.fault_plan,
-            control: self.control,
-        })
+        Ok(self.spec)
     }
 }
 
@@ -1931,6 +1914,50 @@ mod tests {
             "{err:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A full fleet grant encodes the driver's decoded state of a member,
+    /// which must be the blob the member's worker last returned.
+    #[test]
+    fn a_loaded_state_saves_to_the_bytes_it_was_loaded_from() {
+        let mut pool = ExecPool::new(Executor::builder(CoreKind::Rocket).build(), 1);
+        let map_len = pool.coverage_map().len();
+        let round_trips = |state: &CampaignState| {
+            let mut bytes = Vec::new();
+            state.save(&mut bytes).expect("save");
+            let loaded = CampaignState::load(&mut bytes.as_slice(), map_len).expect("load");
+            let mut again = Vec::new();
+            loaded.save(&mut again).expect("save");
+            assert!(
+                again == bytes,
+                "a state re-encodes to other bytes than the {} it was loaded from",
+                bytes.len()
+            );
+        };
+        let mut state = CampaignState::fresh(map_len);
+        round_trips(&state);
+
+        let cfg = CampaignConfig::quick(150);
+        let mut fuzzer = DifuzzRtlFuzzer::new(12, 16);
+        let mut metrics = Metrics::new();
+        while state.executed < cfg.cases {
+            let sink = SinkHandle::null();
+            run_round(
+                &mut fuzzer,
+                &mut pool,
+                &cfg,
+                &sink,
+                &mut metrics,
+                &mut state,
+                None,
+            )
+            .expect("round runs");
+        }
+        assert!(state.signatures.unique() > 1, "several signatures");
+        assert!(!state.first_detection.is_empty(), "detections");
+        assert!(state.curve.len() > 1, "a curve");
+        assert!(!state.trigger_corpus.entries().is_empty(), "triggers");
+        round_trips(&state);
     }
 }
 

@@ -130,30 +130,11 @@ impl TokenEncoder {
         out
     }
 
-    /// Embeds a batch of token tuples through per-component batched
-    /// lookups ([`Embedding::lookup_batch`]). Identical output to calling
-    /// [`TokenEncoder::encode`] per token.
+    /// Embeds a batch of token tuples, one [`TokenEncoder::encode`] per
+    /// token.
     #[must_use]
     pub fn encode_batch(&self, ts: &[Tokens]) -> Vec<Vec<f32>> {
-        let ids = |slot: usize| ts.iter().map(|t| t.indices[slot]).collect::<Vec<_>>();
-        let ops = self.emb_op.lookup_batch(&ids(0));
-        let regs: Vec<Vec<Vec<f32>>> = (1..=4)
-            .map(|slot| self.emb_reg.lookup_batch(&ids(slot)))
-            .collect();
-        let imms = self.emb_imm.lookup_batch(&ids(5));
-        let addrs = self.emb_addr.lookup_batch(&ids(6));
-        (0..ts.len())
-            .map(|b| {
-                let mut out = Vec::with_capacity(self.dim());
-                out.extend_from_slice(&ops[b]);
-                for slot in &regs {
-                    out.extend_from_slice(&slot[b]);
-                }
-                out.extend_from_slice(&imms[b]);
-                out.extend_from_slice(&addrs[b]);
-                out
-            })
-            .collect()
+        ts.iter().map(|t| self.encode(t)).collect()
     }
 
     /// Scatters an input-vector gradient back into the embedding tables.

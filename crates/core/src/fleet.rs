@@ -215,12 +215,14 @@ impl FleetSpec {
     #[must_use]
     pub fn builder(config: FleetConfig) -> FleetSpecBuilder {
         FleetSpecBuilder {
-            config,
-            sink: SinkHandle::null(),
-            checkpoint: None,
-            resume_from: None,
-            corpus_capacity: DEFAULT_CORPUS_CAPACITY,
-            control: None,
+            spec: FleetSpec {
+                config,
+                sink: SinkHandle::null(),
+                checkpoint: None,
+                resume_from: None,
+                corpus_capacity: DEFAULT_CORPUS_CAPACITY,
+                control: None,
+            },
         }
     }
 
@@ -287,15 +289,11 @@ impl FleetSpec {
     }
 }
 
-/// Builds a validated [`FleetSpec`].
+/// Builds a validated [`FleetSpec`]: holds the spec it builds and checks
+/// it at [`FleetSpecBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct FleetSpecBuilder {
-    config: FleetConfig,
-    sink: SinkHandle,
-    checkpoint: Option<CheckpointPolicy>,
-    resume_from: Option<PathBuf>,
-    corpus_capacity: usize,
-    control: Option<StopHandle>,
+    spec: FleetSpec,
 }
 
 impl FleetSpecBuilder {
@@ -304,14 +302,14 @@ impl FleetSpecBuilder {
     /// [`RunConfig::threads`] on the config.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> FleetSpecBuilder {
-        self.config.run.threads = threads;
+        self.spec.config.run.threads = threads;
         self
     }
 
     /// Attaches a telemetry sink for the fleet-level event stream.
     #[must_use]
     pub fn sink(mut self, sink: SinkHandle) -> FleetSpecBuilder {
-        self.sink = sink;
+        self.spec.sink = sink;
         self
     }
 
@@ -320,7 +318,7 @@ impl FleetSpecBuilder {
     /// `fleet.ckpt` inside the policy's directory.
     #[must_use]
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> FleetSpecBuilder {
-        self.checkpoint = Some(policy);
+        self.spec.checkpoint = Some(policy);
         self
     }
 
@@ -329,7 +327,7 @@ impl FleetSpecBuilder {
     /// never affects results).
     #[must_use]
     pub fn resume_from(mut self, snapshot: impl Into<PathBuf>) -> FleetSpecBuilder {
-        self.resume_from = Some(snapshot.into());
+        self.spec.resume_from = Some(snapshot.into());
         self
     }
 
@@ -337,7 +335,7 @@ impl FleetSpecBuilder {
     /// smallest-coverage-first).
     #[must_use]
     pub fn corpus_capacity(mut self, capacity: usize) -> FleetSpecBuilder {
-        self.corpus_capacity = capacity;
+        self.spec.corpus_capacity = capacity;
         self
     }
 
@@ -346,7 +344,7 @@ impl FleetSpecBuilder {
     /// a checkpoint snapshots at the next epoch boundary.
     #[must_use]
     pub fn control(mut self, control: StopHandle) -> FleetSpecBuilder {
-        self.control = Some(control);
+        self.spec.control = Some(control);
         self
     }
 
@@ -357,23 +355,16 @@ impl FleetSpecBuilder {
     /// budget, zero step budget, zero batch, zero threads, zero corpus
     /// capacity, or a checkpoint interval of zero epochs.
     pub fn build(self) -> Result<FleetSpec, SpecError> {
-        self.config.validate()?;
-        if self.corpus_capacity == 0 {
+        self.spec.config.validate()?;
+        if self.spec.corpus_capacity == 0 {
             return Err(SpecError::ZeroCorpusCapacity);
         }
-        if let Some(checkpoint) = &self.checkpoint {
+        if let Some(checkpoint) = &self.spec.checkpoint {
             if checkpoint.every_rounds() == 0 {
                 return Err(SpecError::ZeroCheckpointInterval);
             }
         }
-        Ok(FleetSpec {
-            config: self.config,
-            sink: self.sink,
-            checkpoint: self.checkpoint,
-            resume_from: self.resume_from,
-            corpus_capacity: self.corpus_capacity,
-            control: self.control,
-        })
+        Ok(self.spec)
     }
 }
 
@@ -736,21 +727,18 @@ pub(crate) trait Members {
     /// The coverage map member `index` counts its coverage against.
     fn map(&self, index: usize) -> &CoverageMap;
 
-    /// Brings the members to the driver's starting state. On resume,
-    /// `fuzzer_blobs[i]` is member `i`'s `Fuzzer::save_state` bytes from
-    /// the snapshot; on a fresh run it is `None`.
-    fn start(
-        &mut self,
-        states: &[CampaignState],
-        fuzzer_blobs: Option<Vec<Vec<u8>>>,
-    ) -> Result<(), RunError>;
+    /// Brings the members' fuzzers to the driver's starting point. On
+    /// resume, `fuzzer_blobs[i]` is member `i`'s `Fuzzer::save_state`
+    /// bytes from the snapshot; on a fresh run it is `None`.
+    fn start(&mut self, fuzzer_blobs: Option<Vec<Vec<u8>>>) -> Result<(), RunError>;
 
     /// Sends epoch `epoch`'s work out, granting member `i` `budgets[i]`
-    /// cases, without waiting for it. Nothing a snapshot reads (the
-    /// driver's states, [`Members::fuzzer_blobs`]) changes before
-    /// [`Members::wait`], so the driver snapshots the last epoch close in
-    /// between, while the members run.
-    fn grant(&mut self, epoch: u64, budgets: &[u64]);
+    /// cases from `states[i]`, its state at the last epoch close, without
+    /// waiting for it. Nothing a snapshot reads (the driver's states,
+    /// [`Members::fuzzer_blobs`]) changes before [`Members::wait`], so the
+    /// driver snapshots the last epoch close in between, while the
+    /// members run.
+    fn grant(&mut self, epoch: u64, budgets: &[u64], states: &[CampaignState]);
 
     /// Waits for epoch `epoch` granted with `budgets`. Returns one entry
     /// per member: the slice that folds into this epoch's close (with
@@ -821,11 +809,7 @@ impl Members for InProcess<'_> {
         self.pools[index].coverage_map()
     }
 
-    fn start(
-        &mut self,
-        _states: &[CampaignState],
-        fuzzer_blobs: Option<Vec<Vec<u8>>>,
-    ) -> Result<(), RunError> {
+    fn start(&mut self, fuzzer_blobs: Option<Vec<Vec<u8>>>) -> Result<(), RunError> {
         for (member, blob) in self.members.iter_mut().zip(fuzzer_blobs.iter().flatten()) {
             member.fuzzer.load_state(&mut blob.as_slice())?;
         }
@@ -833,7 +817,7 @@ impl Members for InProcess<'_> {
     }
 
     // Slices run inline in `wait`, so the epoch's work starts there.
-    fn grant(&mut self, _epoch: u64, _budgets: &[u64]) {}
+    fn grant(&mut self, _epoch: u64, _budgets: &[u64], _states: &[CampaignState]) {}
 
     fn wait(
         &mut self,
@@ -931,7 +915,7 @@ pub(crate) fn drive<M: Members>(
             (fleet, None)
         }
     };
-    members.start(&fleet.states, fuzzer_blobs)?;
+    members.start(fuzzer_blobs)?;
 
     let ran = run_epochs(members, idents, spec, &mut fleet);
     // Final (or graceful-shutdown) snapshot.
@@ -1008,7 +992,7 @@ fn run_epochs<M: Members>(
                 planned: fleet.budgets.iter().sum(),
             });
         }
-        members.grant(epoch, &fleet.budgets);
+        members.grant(epoch, &fleet.budgets, &fleet.states);
         // The members now run this epoch; the snapshot of the last close
         // is written meanwhile, since nothing it reads changes until
         // their slices fold.

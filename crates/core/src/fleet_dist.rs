@@ -8,8 +8,9 @@
 //! event stream and the checkpoints. Workers ([`run_worker`], usually
 //! the bench `fleet_worker` binary) run epoch slices and return the
 //! advanced campaign and fuzzer state, serialised, plus the harvested
-//! cases; the coordinator keeps those blobs, which every snapshot and
-//! every full grant read.
+//! cases. The coordinator keeps the fuzzer blobs, which every snapshot
+//! and every full grant read; the driver keeps the decoded campaign
+//! states, and a full grant encodes its member's state when it is sent.
 //!
 //! A worker also keeps the member live after it returns a result. While
 //! the connection that delivered the result adopted at the member's last
@@ -600,14 +601,15 @@ struct WorkerEpoch {
     conn: u64,
     epoch: u64,
     state: CampaignState,
-    state_blob: Vec<u8>,
     fuzzer_blob: Vec<u8>,
     harvest: Vec<HarvestedCase>,
 }
 
 /// The wire transport: grants, heartbeats and respawns. Between epochs
-/// it holds every member as the serialised blobs the wire carries, which
-/// a full grant and a snapshot read.
+/// it holds every member's fuzzer as the serialised blob the wire
+/// carries, which a full grant and a snapshot read. The campaign states
+/// stay decoded in the driver, and a full grant encodes its member's
+/// state when it is sent.
 struct Coordinator<'a> {
     specs: &'a [MemberSpec],
     spec: &'a FleetSpec,
@@ -618,7 +620,6 @@ struct Coordinator<'a> {
     executors: Vec<Executor>,
     map_slot: Vec<usize>,
     slots: Vec<Slot>,
-    state_blobs: Vec<Vec<u8>>,
     fuzzer_blobs: Vec<Vec<u8>>,
     results: Vec<Option<WorkerEpoch>>,
     /// Which members the current epoch granted work.
@@ -641,7 +642,14 @@ impl Coordinator<'_> {
         (self.slots[index].conn == Some(conn)).then_some(index)
     }
 
-    fn handle_hello(&mut self, worker: u32, conn: u64, minor: u16, writer: Arc<Mutex<TcpStream>>) {
+    fn handle_hello(
+        &mut self,
+        worker: u32,
+        conn: u64,
+        minor: u16,
+        writer: Arc<Mutex<TcpStream>>,
+        states: &[CampaignState],
+    ) {
         let Some(index) = self.member_index(worker) else {
             return;
         };
@@ -675,13 +683,14 @@ impl Coordinator<'_> {
         // Pending (not yet issued) grants go out in the wait loop's pass.
         if let Some(epoch) = self.slots[index].outstanding {
             let budget = self.slots[index].granted;
-            self.send_grant(index, epoch, budget);
+            self.send_grant(index, epoch, budget, states);
         }
     }
 
     /// Sends member `index` its work order for `epoch`: a `Continue` when
-    /// its worker holds the member live, a full `Grant` otherwise.
-    fn send_grant(&mut self, index: usize, epoch: u64, budget: u64) {
+    /// its worker holds the member live, a full `Grant` carrying
+    /// `states[index]` and the fuzzer blob otherwise.
+    fn send_grant(&mut self, index: usize, epoch: u64, budget: u64, states: &[CampaignState]) {
         let Some(writer) = self.slots[index].writer.clone() else {
             return;
         };
@@ -691,12 +700,18 @@ impl Coordinator<'_> {
                 budget,
                 after,
             },
-            None => Payload::Grant {
-                epoch,
-                budget,
-                state: self.state_blobs[index].clone(),
-                fuzzer_state: self.fuzzer_blobs[index].clone(),
-            },
+            None => {
+                let mut state = Vec::new();
+                states[index]
+                    .save(&mut state)
+                    .expect("a fresh or decoded campaign state encodes into memory");
+                Payload::Grant {
+                    epoch,
+                    budget,
+                    state,
+                    fuzzer_state: self.fuzzer_blobs[index].clone(),
+                }
+            }
         };
         if send_frame(&writer, order).is_err() {
             self.handle_death(index);
@@ -704,13 +719,13 @@ impl Coordinator<'_> {
     }
 
     /// Issues pending grants to members that have a connection.
-    fn issue_pending(&mut self, epoch: u64) {
+    fn issue_pending(&mut self, epoch: u64, states: &[CampaignState]) {
         for index in 0..self.len() {
             if self.slots[index].writer.is_some() {
                 if let Some(budget) = self.slots[index].pending_grant.take() {
                     self.slots[index].outstanding = Some(epoch);
                     self.slots[index].granted = budget;
-                    self.send_grant(index, epoch, budget);
+                    self.send_grant(index, epoch, budget, states);
                 }
             }
         }
@@ -782,7 +797,6 @@ impl Coordinator<'_> {
             conn,
             epoch,
             state: decoded,
-            state_blob: state,
             fuzzer_blob,
             harvest,
         });
@@ -800,10 +814,10 @@ impl Coordinator<'_> {
     /// Blocks until epoch `epoch` can close per the async contract:
     /// every live member planned for a grant reported, or the deadline
     /// passed with the quorum met, or only dead members remain.
-    fn wait_for_epoch(&mut self, epoch: u64) -> Result<(), RunError> {
+    fn wait_for_epoch(&mut self, epoch: u64, states: &[CampaignState]) -> Result<(), RunError> {
         let deadline = Instant::now() + Duration::from_millis(self.dist.epoch_deadline_millis);
         loop {
-            self.issue_pending(epoch);
+            self.issue_pending(epoch, states);
             let (mut expected, mut reported, mut waiting) = (0usize, 0usize, 0usize);
             for index in (0..self.len()).filter(|&index| self.planned[index]) {
                 expected += 1;
@@ -845,7 +859,7 @@ impl Coordinator<'_> {
                     conn,
                     minor,
                     writer,
-                }) => self.handle_hello(worker, conn, minor, writer),
+                }) => self.handle_hello(worker, conn, minor, writer, states),
                 Ok(Msg::Frame(worker, conn, payload)) => {
                     if let Some(index) = self.current(worker, conn) {
                         self.handle_frame(index, conn, payload);
@@ -876,18 +890,7 @@ impl Members for Coordinator<'_> {
         self.executors[self.map_slot[index]].coverage_map()
     }
 
-    fn start(
-        &mut self,
-        states: &[CampaignState],
-        fuzzer_blobs: Option<Vec<Vec<u8>>>,
-    ) -> Result<(), RunError> {
-        self.state_blobs = states
-            .iter()
-            .map(|state| {
-                let mut blob = Vec::new();
-                state.save(&mut blob).map(|()| blob)
-            })
-            .collect::<Result<_, PersistError>>()?;
+    fn start(&mut self, fuzzer_blobs: Option<Vec<Vec<u8>>>) -> Result<(), RunError> {
         self.fuzzer_blobs = match fuzzer_blobs {
             Some(blobs) => blobs,
             None => self
@@ -907,7 +910,7 @@ impl Members for Coordinator<'_> {
         Ok(())
     }
 
-    fn grant(&mut self, epoch: u64, budgets: &[u64]) {
+    fn grant(&mut self, epoch: u64, budgets: &[u64], states: &[CampaignState]) {
         // A member still busy with an older grant, or holding an
         // unfolded result, gets no new one this epoch.
         for (index, &budget) in budgets.iter().enumerate() {
@@ -918,7 +921,7 @@ impl Members for Coordinator<'_> {
                 slot.pending_grant = Some(budget);
             }
         }
-        self.issue_pending(epoch);
+        self.issue_pending(epoch, states);
     }
 
     fn wait(
@@ -928,12 +931,11 @@ impl Members for Coordinator<'_> {
         states: &mut [CampaignState],
         _metrics: &mut Metrics,
     ) -> Result<Vec<Option<Slice>>, RunError> {
-        self.wait_for_epoch(epoch)?;
+        self.wait_for_epoch(epoch, states)?;
         let slices = (0..self.len())
             .map(|index| {
                 let res = self.results[index].take()?;
                 states[index] = res.state;
-                self.state_blobs[index] = res.state_blob;
                 self.fuzzer_blobs[index] = res.fuzzer_blob;
                 self.slots[index].adopted = Some((res.conn, res.epoch));
                 Some(Slice {
@@ -1032,7 +1034,6 @@ pub fn run_fleet_dist(
         executors,
         map_slot,
         slots: (0..n).map(|_| Slot::new(dist.max_respawns, now)).collect(),
-        state_blobs: Vec::new(),
         fuzzer_blobs: Vec::new(),
         results: (0..n).map(|_| None).collect(),
         planned: vec![false; n],

@@ -516,7 +516,7 @@ impl HflFuzzer {
         // One batched peek scores every distinct candidate as a
         // hypothetical continuation of the shared predictor session.
         let prob_batch = {
-            let cp = self.coverage_predictor.as_mut().expect("checked above");
+            let cp = self.coverage_predictor.as_ref().expect("checked above");
             let cs = self
                 .coverage_session
                 .as_ref()

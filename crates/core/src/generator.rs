@@ -8,7 +8,7 @@
 //! heads only, gated by the instruction mask (§IV-B).
 
 use hfl_nn::ops::{sample_categorical, softmax_log_norm};
-use hfl_nn::{Adam, Linear, Lstm, LstmState, Scratch, Tensor};
+use hfl_nn::{Adam, Linear, Lstm, LstmState, Tensor};
 use hfl_rl::ppo_logit_grad;
 use rand::Rng;
 
@@ -97,15 +97,15 @@ impl Head {
 
     /// Batched forward over many hidden vectors through one fused GEMM per
     /// layer; bit-identical to [`Head::forward`] per input.
-    fn forward_batch(&self, hs: &[&[f32]], scratch: &mut Scratch) -> Vec<HeadEval> {
-        let mut acts = self.l1.forward_batch(hs, scratch);
+    fn forward_batch(&self, hs: &[&[f32]]) -> Vec<HeadEval> {
+        let mut acts = self.l1.forward_batch(hs);
         for a in &mut acts {
             for v in a.iter_mut() {
                 *v = v.tanh();
             }
         }
         let arefs: Vec<&[f32]> = acts.iter().map(Vec::as_slice).collect();
-        let logits = self.l2.forward_batch(&arefs, scratch);
+        let logits = self.l2.forward_batch(&arefs);
         logits.into_iter().zip(acts).collect()
     }
 
@@ -219,8 +219,6 @@ pub struct InstructionGenerator {
     encoder: TokenEncoder,
     lstm: Lstm,
     heads: Vec<Head>,
-    /// Reusable forward-pass buffers; transient, never checkpointed.
-    scratch: Scratch,
 }
 
 /// Streaming generation state: the LSTM state plus the last token fed.
@@ -262,7 +260,6 @@ impl InstructionGenerator {
             encoder,
             lstm,
             heads,
-            scratch: Scratch::default(),
         }
     }
 
@@ -456,7 +453,7 @@ impl InstructionGenerator {
                     .filter(|&t| steps[t].mask[k])
                     .map(|t| trace.outputs[t].as_slice())
                     .collect();
-                head.forward_batch(&hs, &mut self.scratch).into_iter()
+                head.forward_batch(&hs).into_iter()
             })
             .collect();
         // Per head, the steps that carry gradient, in step order.
@@ -590,7 +587,6 @@ impl InstructionGenerator {
             encoder,
             lstm,
             heads,
-            scratch: Scratch::default(),
         })
     }
 }

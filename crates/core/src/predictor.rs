@@ -11,7 +11,7 @@
 //!   hardware simulation (contribution 3) and the subject of Fig. 3.
 
 use hfl_nn::ops::{bce_with_logits, sigmoid};
-use hfl_nn::{Adam, Linear, Lstm, LstmState, Scratch, Tensor};
+use hfl_nn::{Adam, Linear, Lstm, LstmState, Tensor};
 use hfl_rl::value_loss;
 use rand::Rng;
 
@@ -67,8 +67,6 @@ pub struct ValuePredictor {
     encoder: TokenEncoder,
     lstm: Lstm,
     out: Linear,
-    /// Reusable forward-pass buffers; transient, never checkpointed.
-    scratch: Scratch,
 }
 
 /// Streaming evaluation state for the critic.
@@ -110,7 +108,6 @@ impl ValuePredictor {
             encoder,
             lstm,
             out,
-            scratch: Scratch::default(),
         }
     }
 
@@ -171,7 +168,7 @@ impl ValuePredictor {
         // One fused value-head pass over every timestep instead of T
         // sequential matvecs; bit-identical per step.
         let hrefs: Vec<&[f32]> = trace.outputs.iter().map(Vec::as_slice).collect();
-        let values = self.out.forward_batch(&hrefs, &mut self.scratch);
+        let values = self.out.forward_batch(&hrefs);
         let mut d_out: Vec<Vec<f32>> = trace.outputs.iter().map(|h| vec![0.0; h.len()]).collect();
         let mut total = 0.0f32;
         let n = inputs.len() as f32;
@@ -238,7 +235,6 @@ impl ValuePredictor {
             encoder,
             lstm,
             out,
-            scratch: Scratch::default(),
         })
     }
 }
@@ -271,8 +267,6 @@ pub struct CoveragePredictor {
     encoder: TokenEncoder,
     lstm: Lstm,
     out: Linear,
-    /// Reusable forward-pass buffers; transient, never checkpointed.
-    scratch: Scratch,
 }
 
 impl CoveragePredictor {
@@ -287,7 +281,6 @@ impl CoveragePredictor {
             encoder,
             lstm,
             out,
-            scratch: Scratch::default(),
         }
     }
 
@@ -334,17 +327,16 @@ impl CoveragePredictor {
     /// every candidate token as a hypothetical continuation of the shared
     /// session state, computed through one fused GEMM per LSTM gate
     /// ([`Lstm::step_batch`]) instead of `k` sequential state clones and
-    /// matvecs. Bit-identical to calling `peek` per token; the session is
-    /// untouched (only internal scratch buffers mutate, hence `&mut self`).
-    pub fn peek_batch(&mut self, session: &CoverageSession, tokens: &[Tokens]) -> Vec<Vec<f32>> {
+    /// matvecs. Bit-identical to calling `peek` per token; neither the
+    /// model nor the session changes.
+    #[must_use]
+    pub fn peek_batch(&self, session: &CoverageSession, tokens: &[Tokens]) -> Vec<Vec<f32>> {
         let xs = self.encoder.encode_batch(tokens);
         let xrefs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        let hs = self
-            .lstm
-            .step_batch(&xrefs, &session.state, &mut self.scratch);
+        let hs = self.lstm.step_batch(&xrefs, &session.state);
         let hrefs: Vec<&[f32]> = hs.iter().map(Vec::as_slice).collect();
         self.out
-            .forward_batch(&hrefs, &mut self.scratch)
+            .forward_batch(&hrefs)
             .into_iter()
             .map(|logits| logits.into_iter().map(sigmoid).collect())
             .collect()
@@ -450,7 +442,6 @@ impl CoveragePredictor {
             encoder,
             lstm,
             out,
-            scratch: Scratch::default(),
         })
     }
 }
@@ -548,7 +539,7 @@ mod tests {
     #[test]
     fn peek_batch_is_bitwise_identical_to_sequential_peeks() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut cp = CoveragePredictor::new(tiny_cfg(), 9, &mut rng);
+        let cp = CoveragePredictor::new(tiny_cfg(), 9, &mut rng);
         let mut session = cp.start_session();
         cp.step(&mut session, &Tokens::bos());
         cp.step(

@@ -52,13 +52,6 @@ impl Embedding {
         self.table.row(token % self.table.rows).to_vec()
     }
 
-    /// Batched lookup: one row copy per token, identical to calling
-    /// [`Embedding::forward`] per id (ids wrap modulo the vocabulary).
-    #[must_use]
-    pub fn lookup_batch(&self, tokens: &[usize]) -> Vec<Vec<f32>> {
-        tokens.iter().map(|&t| self.forward(t)).collect()
-    }
-
     /// Scatters a gradient back into the table row for `token`.
     pub fn backward(&mut self, token: usize, dvec: &[f32]) {
         let row = token % self.table.rows;

@@ -8,7 +8,10 @@
 //! - [`Tensor`]: dense f32 parameters with gradients and Adam moments,
 //! - [`Embedding`], [`Linear`], [`Lstm`]: the layers both models use, with
 //!   exact analytic gradients (validated against numerical differentiation
-//!   in the test suite),
+//!   in the test suite) and batched forwards ([`Linear::forward_batch`],
+//!   [`Lstm::step_batch`]) that take `&self`, allocate only their
+//!   temporaries and results, and are bit-identical to one per-input
+//!   forward each,
 //! - [`ops`]: softmax/cross-entropy/BCE losses and categorical sampling,
 //! - [`Adam`]: the optimiser, defaulting to the paper's `1e-4` learning
 //!   rate.
@@ -41,7 +44,6 @@ pub mod linear;
 pub mod lstm;
 pub mod ops;
 pub mod persist;
-pub mod scratch;
 pub mod tensor;
 
 pub use adam::Adam;
@@ -49,5 +51,4 @@ pub use embedding::Embedding;
 pub use linear::Linear;
 pub use lstm::{Lstm, LstmCell, LstmState, LstmTrace};
 pub use persist::{Codec, PersistError, SnapshotReader, SnapshotWriter};
-pub use scratch::Scratch;
 pub use tensor::Tensor;

@@ -2,7 +2,6 @@
 
 use rand::Rng;
 
-use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 
 /// A fully-connected layer `y = W x + b`.
@@ -71,18 +70,16 @@ impl Linear {
     /// # Panics
     /// Panics if any input's length differs from the input dimension.
     #[must_use]
-    pub fn forward_batch(&self, xs: &[&[f32]], scratch: &mut Scratch) -> Vec<Vec<f32>> {
+    pub fn forward_batch(&self, xs: &[&[f32]]) -> Vec<Vec<f32>> {
         let in_dim = self.in_dim();
-        let out_dim = self.out_dim();
-        let mut flat_in = scratch.take_zeroed(xs.len() * in_dim);
-        for (chunk, x) in flat_in.chunks_exact_mut(in_dim).zip(xs) {
-            assert_eq!(x.len(), in_dim, "forward_batch dimension mismatch");
-            chunk.copy_from_slice(x);
-        }
-        let mut flat_out = scratch.take_zeroed(0);
-        self.w.matvec_batch(&flat_in, xs.len(), &mut flat_out);
-        let ys = flat_out
-            .chunks_exact(out_dim)
+        assert!(
+            xs.iter().all(|x| x.len() == in_dim),
+            "forward_batch dimension mismatch"
+        );
+        let mut flat_out = Vec::new();
+        self.w.matvec_batch(&xs.concat(), xs.len(), &mut flat_out);
+        flat_out
+            .chunks_exact(self.out_dim())
             .map(|y| {
                 let mut y = y.to_vec();
                 for (yv, bv) in y.iter_mut().zip(&self.b.data) {
@@ -90,10 +87,7 @@ impl Linear {
                 }
                 y
             })
-            .collect();
-        scratch.give(flat_in);
-        scratch.give(flat_out);
-        ys
+            .collect()
     }
 
     /// Accumulates gradients for an output gradient `dy` at input `x` and

@@ -5,15 +5,15 @@
 //! share. Gates are packed in `[input, forget, cell, output]` order.
 //!
 //! Every forward path (a streaming [`Lstm::step`], the screening
-//! [`LstmCell::forward_batch`] and the training [`Lstm::forward_seq`])
-//! runs the same gate kernel. A sequence runs layer by layer: one
+//! [`Lstm::step_batch`] and the training [`Lstm::forward_seq`]) runs the
+//! same gate kernel and takes `&self`, allocating its temporaries and its
+//! result locally. A sequence runs layer by layer: one
 //! [`Tensor::matvec_batch`] projects every step's input, then the
 //! recurrent sweep adds `W_h·h_{t-1} + b` step by step.
 
 use rand::Rng;
 
 use crate::ops::{dsigmoid, dtanh, sigmoid};
-use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 
 /// One LSTM layer's parameters.
@@ -93,62 +93,48 @@ impl LstmCell {
     }
 
     /// Batched one-step forward of `batch` hypothetical continuations of a
-    /// shared `(h_prev, c_prev)` state. The input-weight product runs as
-    /// one fused GEMM over all inputs ([`Tensor::matvec_batch`]) and the
-    /// recurrent term `Wh·h_prev + b` is computed once and shared, so the
-    /// per-candidate cost drops to a single GEMM slice plus the gate
-    /// non-linearities. Writes each continuation's hidden/cell vectors as
-    /// consecutive chunks of `h_out`/`c_out` (cleared and resized).
+    /// shared `(h_prev, c_prev)` state, the layer step of
+    /// [`Lstm::step_batch`]. The input-weight product runs as one
+    /// [`Tensor::matvec_batch`] over all inputs and the recurrent term
+    /// `Wh·h_prev + b` is computed once and shared, so the per-candidate
+    /// cost drops to a slice of that product plus the gate
+    /// non-linearities. Returns each continuation's hidden vector as
+    /// consecutive chunks of one buffer.
     ///
     /// Bit-identical to `batch` separate [`Lstm::step`]s of this layer:
     /// every output element accumulates in the same order.
     ///
     /// # Panics
     /// Panics on input/state dimension mismatches.
-    // Hot-path signature: flat in/out buffers avoid per-call allocation,
-    // which is the whole point of this function.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_batch(
+    fn forward_batch(
         &self,
         xs_flat: &[f32],
         batch: usize,
         h_prev: &[f32],
         c_prev: &[f32],
-        h_out: &mut Vec<f32>,
-        c_out: &mut Vec<f32>,
-        scratch: &mut Scratch,
-    ) {
+    ) -> Vec<f32> {
         let h = self.hidden;
         assert_eq!(h_prev.len(), h, "forward_batch state dimension");
         assert_eq!(c_prev.len(), h, "forward_batch state dimension");
-        let mut z = scratch.take_zeroed(0);
+        let mut z = Vec::new();
         self.wx.matvec_batch(xs_flat, batch, &mut z);
         // Shared recurrent contribution: the scalar path adds `zh + b` to
         // each gate pre-activation, so precombining them is exact.
-        let mut zhb = scratch.take_zeroed(4 * h);
+        let mut zhb = vec![0.0f32; 4 * h];
         self.wh.matvec_into(h_prev, &mut zhb);
         for (zhv, bv) in zhb.iter_mut().zip(&self.b.data) {
             *zhv += bv;
         }
-        let mut tanh_c = scratch.take_zeroed(h);
-        h_out.clear();
-        h_out.resize(batch * h, 0.0);
-        c_out.clear();
-        c_out.resize(batch * h, 0.0);
-        for ((zb, hb), cb) in z
-            .chunks_exact_mut(4 * h)
-            .zip(h_out.chunks_exact_mut(h))
-            .zip(c_out.chunks_exact_mut(h))
-        {
+        let (mut c, mut tanh_c) = (vec![0.0f32; h], vec![0.0f32; h]);
+        let mut h_out = vec![0.0f32; batch * h];
+        for (zb, hb) in z.chunks_exact_mut(4 * h).zip(h_out.chunks_exact_mut(h)) {
             for (zv, zhv) in zb.iter_mut().zip(&zhb) {
                 *zv += zhv;
             }
-            cb.copy_from_slice(c_prev);
-            gates(zb, cb, &mut tanh_c, hb);
+            c.copy_from_slice(c_prev);
+            gates(zb, &mut c, &mut tanh_c, hb);
         }
-        scratch.give(z);
-        scratch.give(zhb);
-        scratch.give(tanh_c);
+        h_out
     }
 
     /// The cell's parameter tensors (for the optimiser).
@@ -306,42 +292,21 @@ impl Lstm {
     /// Panics if the inputs' lengths disagree with each other or the
     /// bottom cell's input dimension.
     #[must_use]
-    pub fn step_batch(
-        &self,
-        xs: &[&[f32]],
-        state: &LstmState,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<f32>> {
+    pub fn step_batch(&self, xs: &[&[f32]], state: &LstmState) -> Vec<Vec<f32>> {
         if xs.is_empty() {
             return Vec::new();
         }
-        let batch = xs.len();
         let in_dim = self.cells[0].wx.cols;
-        let mut input = scratch.take_zeroed(batch * in_dim);
-        for (chunk, x) in input.chunks_exact_mut(in_dim).zip(xs) {
-            assert_eq!(x.len(), in_dim, "step_batch input dimension");
-            chunk.copy_from_slice(x);
-        }
-        let mut h_out = scratch.take_zeroed(0);
-        let mut c_out = scratch.take_zeroed(0);
+        assert!(
+            xs.iter().all(|x| x.len() == in_dim),
+            "step_batch input dimension"
+        );
+        let mut input = xs.concat();
         for (l, cell) in self.cells.iter().enumerate() {
-            cell.forward_batch(
-                &input,
-                batch,
-                &state.h[l],
-                &state.c[l],
-                &mut h_out,
-                &mut c_out,
-                scratch,
-            );
-            std::mem::swap(&mut input, &mut h_out);
+            input = cell.forward_batch(&input, xs.len(), &state.h[l], &state.c[l]);
         }
         let top = self.cells.last().expect("at least one layer").hidden();
-        let outs = input.chunks_exact(top).map(<[f32]>::to_vec).collect();
-        scratch.give(input);
-        scratch.give(h_out);
-        scratch.give(c_out);
-        outs
+        input.chunks_exact(top).map(<[f32]>::to_vec).collect()
     }
 
     /// Forward over a whole sequence, saving activations for BPTT.

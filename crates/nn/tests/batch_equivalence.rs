@@ -1,5 +1,5 @@
 //! Property tests for the batched hot-path: every batched forward
-//! (`Linear::forward_batch`, `Embedding::lookup_batch`, `Lstm::step_batch`)
+//! (`Linear::forward_batch`, `Lstm::step_batch`)
 //! must be *bitwise* identical to the scalar path it replaces, across
 //! random shapes and seeds, before and after optimiser steps. The kernels
 //! underneath (`Tensor::matvec`, `Tensor::matvec_batch`, the transposed
@@ -11,7 +11,7 @@
 
 use hfl_nn::adam::global_norm_sq;
 use hfl_nn::ops::{dsigmoid, dtanh, sigmoid, softmax_log_norm};
-use hfl_nn::{Adam, Linear, Lstm, LstmCell, Scratch, Tensor};
+use hfl_nn::{Adam, Linear, Lstm, LstmCell, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -308,16 +308,10 @@ proptest! {
         let layer = Linear::new(out_dim, in_dim, &mut rng);
         let xs: Vec<Vec<f32>> = (0..batch).map(|_| random_vec(&mut rng, in_dim)).collect();
         let xrefs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        let mut scratch = Scratch::default();
-        let batched = layer.forward_batch(&xrefs, &mut scratch);
+        let batched = layer.forward_batch(&xrefs);
         prop_assert_eq!(batched.len(), batch);
         for (x, b) in xs.iter().zip(&batched) {
             prop_assert_eq!(bits(&layer.forward(x)), bits(b));
-        }
-        // Scratch reuse must be invisible: a second pass agrees too.
-        let again = layer.forward_batch(&xrefs, &mut scratch);
-        for (a, b) in again.iter().zip(&batched) {
-            prop_assert_eq!(bits(a), bits(b));
         }
     }
 
@@ -332,15 +326,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layer = Linear::new(out_dim, in_dim, &mut rng);
         let mut adam = Adam::new(1e-2);
-        let mut scratch = Scratch::default();
         for _ in 0..3 {
             let x = random_vec(&mut rng, in_dim);
-            let before = layer.forward_batch(&[&x], &mut scratch);
+            let before = layer.forward_batch(&[&x]);
             prop_assert_eq!(bits(&layer.forward(&x)), bits(&before[0]));
             let dy = layer.forward(&x);
             let _ = layer.backward(&x, &dy);
             adam.step(&mut layer.params_mut());
-            let after = layer.forward_batch(&[&x], &mut scratch);
+            let after = layer.forward_batch(&[&x]);
             prop_assert_eq!(
                 bits(&layer.forward(&x)),
                 bits(&after[0]),
@@ -368,8 +361,7 @@ proptest! {
         }
         let xs: Vec<Vec<f32>> = (0..batch).map(|_| random_vec(&mut rng, in_dim)).collect();
         let xrefs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        let mut scratch = Scratch::default();
-        let batched = lstm.step_batch(&xrefs, &state, &mut scratch);
+        let batched = lstm.step_batch(&xrefs, &state);
         prop_assert_eq!(batched.len(), batch);
         for (x, b) in xs.iter().zip(&batched) {
             // The scalar reference: each candidate continues from a clone
@@ -649,21 +641,6 @@ fn adam_with_the_lockstep_norm_matches_the_scalar_loop() {
     }
 }
 
-#[test]
-fn embedding_lookup_batch_matches_forward() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let emb = hfl_nn::Embedding::new(17, 6, &mut rng);
-    let ids: Vec<usize> = (0..40).map(|_| rng.gen_range(0..64usize)).collect();
-    let batched = emb.lookup_batch(&ids);
-    for (&id, b) in ids.iter().zip(&batched) {
-        assert_eq!(
-            bits(&emb.forward(id)),
-            bits(b),
-            "id {id} (wrapping) diverged"
-        );
-    }
-}
-
 /// Finite-difference gradient check where the loss is evaluated through the
 /// *batched* forward: `L = ½ Σ_b ‖forward_batch(x)_b‖²`. The analytic
 /// gradients come from the scalar backward — since the batched forward is
@@ -674,10 +651,9 @@ fn gradcheck_through_the_batched_forward() {
     let mut rng = StdRng::seed_from_u64(23);
     let mut layer = Linear::new(3, 5, &mut rng);
     let xs: Vec<Vec<f32>> = (0..4).map(|_| random_vec(&mut rng, 5)).collect();
-    let mut scratch = Scratch::default();
-    let batched_loss = |l: &Linear, scratch: &mut Scratch| -> f32 {
+    let batched_loss = |l: &Linear| -> f32 {
         let xrefs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        l.forward_batch(&xrefs, scratch)
+        l.forward_batch(&xrefs)
             .iter()
             .flat_map(|y| y.iter().map(|v| v * v))
             .sum::<f32>()
@@ -692,9 +668,9 @@ fn gradcheck_through_the_batched_forward() {
     for idx in 0..layer.w.len() {
         let orig = layer.w.data[idx];
         layer.w.data[idx] = orig + eps;
-        let lp = batched_loss(&layer, &mut scratch);
+        let lp = batched_loss(&layer);
         layer.w.data[idx] = orig - eps;
-        let lm = batched_loss(&layer, &mut scratch);
+        let lm = batched_loss(&layer);
         layer.w.data[idx] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(

@@ -33,7 +33,7 @@ pub mod mem_map {
     pub const PROTECTED_BASE: u64 = 0x8000_4000;
     /// Size of the PMP-protected region.
     pub const PROTECTED_SIZE: u64 = 0x1000;
-    /// Scratch region for spills.
+    /// Base of the region for register spills.
     pub const SCRATCH_BASE: u64 = 0x8000_8000;
     /// End of simulated RAM (exclusive).
     pub const RAM_END: u64 = RAM_BASE + RAM_SIZE;
